@@ -18,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/implicit.hpp"
 #include "graph/placement.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "uxs/uxs.hpp"
@@ -206,6 +207,30 @@ void BM_FullFasterGathering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullFasterGathering)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_CrowdedOneNode(benchmark::State& state) {
+  // The paper's many-robots regime: k robots start on one node of an
+  // implicit 64x64 grid and move as large groups, so every decision
+  // reads a view of up to k entries. Items are robot decisions; a
+  // per-decision cost that grows with k is a quadratic crowded path.
+  scenario::ScenarioSpec spec;
+  spec.family = "implicit-grid";
+  spec.n = 4096;
+  spec.k = static_cast<std::size_t>(state.range(0));
+  spec.placement = "one-node";
+  spec.sequence = "lazy";
+  spec.hard_cap = 20000;
+  spec.seed = 1;
+  const scenario::ResolvedScenario r = scenario::resolve(spec);
+  std::int64_t decisions = 0;
+  for (auto _ : state) {
+    const auto out = core::run_gathering(*r.graph, r.placement, r.run_spec);
+    decisions += static_cast<std::int64_t>(out.result.metrics.decision_calls);
+    benchmark::DoNotOptimize(out.result.metrics.trace_hash);
+  }
+  state.SetItemsProcessed(decisions);
+}
+BENCHMARK(BM_CrowdedOneNode)->Arg(250)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that also collects every run into a BenchJson row.
 class JsonTeeReporter final : public benchmark::ConsoleReporter {

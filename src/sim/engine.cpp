@@ -32,6 +32,12 @@ void hash_word(std::uint64_t& h, std::uint64_t w) {
   h ^= h >> 47;
 }
 
+/// Bits one co-located robot's broadcast costs its receivers: label,
+/// group id, and the 3-bit role tag.
+std::uint64_t message_bits(const RobotPublicState& s) {
+  return support::bit_width_u64(s.id) + support::bit_width_u64(s.group_id) + 3;
+}
+
 }  // namespace
 
 Engine::Engine(const graph::Topology& graph, EngineConfig config)
@@ -201,8 +207,7 @@ std::size_t Engine::apply_carried(Round r, RunResult& result) {
   for (const std::uint32_t s : carried_) {
     const NodeId from = pos_[s];
     const graph::HalfEdge h = carry_edge_[s];
-    occupants_erase(from, s);
-    occupants_insert(h.to, s);
+    queue_arrival(s, from, h.to);
     pos_[s] = h.to;
     entry_port_[s] = h.to_port;
     ++move_count_[s];
@@ -227,8 +232,8 @@ std::size_t Engine::apply_carried(Round r, RunResult& result) {
 
 void Engine::occupants_insert(NodeId node, std::uint32_t slot) {
   // Splice into the node's list keeping label order (views are sorted).
-  // In sparse mode ref() creates the target node's record; the round
-  // loop always erases before inserting, so the table never grows here.
+  // Only add_robot inserts one robot at a time; the round loop moves
+  // robots through splice_arrivals.
   const RobotId id = ids_[slot];
   std::uint32_t* link = &nodes_.ref(node).head;
   while (*link != kNoSlot && ids_[*link] < id) link = &occ_next_[*link];
@@ -236,18 +241,62 @@ void Engine::occupants_insert(NodeId node, std::uint32_t slot) {
   *link = slot;
 }
 
-void Engine::occupants_erase(NodeId node, std::uint32_t slot) {
-  NodeRec* rec = nodes_.find(node);
-  GATHER_INVARIANT(rec != nullptr);
-  std::uint32_t* link = &rec->head;
-  while (*link != kNoSlot && *link != slot) link = &occ_next_[*link];
-  GATHER_INVARIANT(*link == slot);
-  *link = occ_next_[slot];
-  occ_next_[slot] = kNoSlot;
-  // Sparse mode: hand the emptied record back so resident memory stays
-  // O(robots). Safe even though it voids the node's view memo — views of
-  // round r are fully consumed before any round-r move erases occupants.
-  nodes_.release_if_empty(node);
+void Engine::queue_arrival(std::uint32_t slot, NodeId from, NodeId to) {
+  // A move along a self-loop leaves the robot where its list puts it.
+  if (to != from) {
+    arrivals_.push_back((static_cast<std::uint64_t>(to) << 32) |
+                        label_rank_[slot]);
+  }
+}
+
+void Engine::splice_arrivals() {
+  // Every mover's pos_ already names its destination, so one pass over
+  // each touched node's list unlinks exactly its departed occupants —
+  // O(occupancy) per node, whatever order the movers left in.
+  std::sort(touched_nodes_.begin(), touched_nodes_.end());
+  touched_nodes_.erase(
+      std::unique(touched_nodes_.begin(), touched_nodes_.end()),
+      touched_nodes_.end());
+  std::size_t departed = 0;
+  for (const NodeId node : touched_nodes_) {
+    NodeRec* rec = nodes_.find(node);
+    if (rec == nullptr) continue;  // sparse mode: a destination not yet held
+    for (std::uint32_t* link = &rec->head; *link != kNoSlot;) {
+      const std::uint32_t occ = *link;
+      if (pos_[occ] == node) {
+        link = &occ_next_[occ];
+      } else {
+        *link = occ_next_[occ];
+        ++departed;
+      }
+    }
+    // Sparse mode: hand an emptied record back so resident memory stays
+    // O(robots). Safe even though it voids the node's view memo — views
+    // of round r are fully consumed before any round-r move. Every
+    // release happens before the merge below creates a record, so the
+    // table never holds more records than there are robots.
+    nodes_.release_if_empty(node);
+  }
+  GATHER_INVARIANT(departed == arrivals_.size());
+
+  // Merge each destination's arrivals, sorted by label, into its list in
+  // one walk: a group arriving together costs O(occupancy + group).
+  std::sort(arrivals_.begin(), arrivals_.end());
+  for (std::size_t i = 0; i < arrivals_.size();) {
+    const auto node = static_cast<NodeId>(arrivals_[i] >> 32);
+    std::uint32_t* link = &nodes_.ref(node).head;
+    for (; i < arrivals_.size() && (arrivals_[i] >> 32) == node; ++i) {
+      const auto rank = static_cast<std::uint32_t>(arrivals_[i]);
+      const std::uint32_t slot = slots_by_id_[rank];
+      while (*link != kNoSlot && label_rank_[*link] < rank) {
+        link = &occ_next_[*link];
+      }
+      occ_next_[slot] = *link;
+      *link = slot;
+      link = &occ_next_[slot];
+    }
+  }
+  arrivals_.clear();
 }
 // gather-lint: hot-path-end(wake-machinery)
 
@@ -287,6 +336,10 @@ RunResult Engine::run() {
   if (config_.decide_threads > 1) decide_bits_.assign(num_slots, 0);
   active_.reserve(num_slots);
   touched_nodes_.reserve(2 * num_slots);
+  arrivals_.reserve(num_slots);  // each robot moves at most once per round
+  label_rank_.assign(num_slots, 0);
+  for (std::uint32_t i = 0; i < num_slots; ++i) label_rank_[slots_by_id_[i]] = i;
+  nodes_.reserve(num_slots);
   heap_.reserve(4 * num_slots);
 
   // Trace preamble: pos_ still holds the start nodes here (no round has
@@ -460,34 +513,31 @@ RunResult Engine::run() {
 // View materialization, follow-chain resolution, the decision loops, and
 // the move/termination application are the per-round critical path.
 // gather-lint: hot-path-begin(round-simulation)
-std::span<const RobotPublicState> Engine::view_for(NodeId node, Round r) {
+void Engine::build_view(NodeId node, Round r) {
   NodeRec* rec = nodes_.find(node);
   GATHER_INVARIANT(rec != nullptr);  // only nodes hosting robots are viewed
-  if (rec->view_stamp == r) {
-    const ViewRef ref = views_[rec->view];
-    return {view_arena_.data() + ref.begin, ref.size};
-  }
+  if (rec->view_stamp == r) return;
   // Materialize the node's snapshot at the arena's write head. Capacity
   // is exact (each robot sits at one node), so no reallocation — spans
-  // handed to robots stay valid for the whole round.
-  const auto begin = static_cast<std::uint32_t>(arena_used_);
+  // handed to robots stay valid for the whole round. The view's message
+  // bits are summed here, once per node, not once per receiving robot.
+  ViewRef ref{static_cast<std::uint32_t>(arena_used_), 0, 0};
   for (std::uint32_t occ = rec->head; occ != kNoSlot; occ = occ_next_[occ]) {
     GATHER_INVARIANT(arena_used_ < view_arena_.size());
-    view_arena_[arena_used_++] = robots_[occ]->public_state();
+    const RobotPublicState& state = robots_[occ]->public_state();
+    view_arena_[arena_used_++] = state;
+    ref.bits += message_bits(state);
   }
-  const ViewRef ref{begin, static_cast<std::uint32_t>(arena_used_) - begin};
+  ref.size = static_cast<std::uint32_t>(arena_used_) - ref.begin;
   views_[views_used_] = ref;
   rec->view = static_cast<std::uint32_t>(views_used_++);
   rec->view_stamp = r;
-  return {view_arena_.data() + ref.begin, ref.size};
 }
 
-std::span<const RobotPublicState> Engine::view_cached(NodeId node,
-                                                      Round r) const {
+Engine::ViewRef Engine::view_cached(NodeId node, Round r) const {
   const NodeRec* rec = nodes_.find(node);
   GATHER_INVARIANT(rec != nullptr && rec->view_stamp == r);
-  const ViewRef ref = views_[rec->view];
-  return {view_arena_.data() + ref.begin, ref.size};
+  return views_[rec->view];
 }
 
 Action Engine::resolve_action(std::uint32_t s, Round r) {
@@ -574,14 +624,11 @@ std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
   view.entry_port = entry_port_[s];
   // Read-only lookup: the simulate_round pre-pass materialized every
   // active node's view, so decide workers never touch the memo.
-  view.colocated = view_cached(pos_[s], r);
-  std::uint64_t bits = 0;
-  const RobotId self = ids_[s];
-  for (const RobotPublicState& other : view.colocated) {
-    if (other.id == self) continue;
-    bits += support::bit_width_u64(other.id) +
-            support::bit_width_u64(other.group_id) + 3;
-  }
+  const ViewRef ref = view_cached(pos_[s], r);
+  view.colocated = {view_arena_.data() + ref.begin, ref.size};
+  // The robot receives every entry but its own. Its public state still
+  // equals its snapshot entry: only its own on_round (next) writes it.
+  const std::uint64_t bits = ref.bits - message_bits(robots_[s]->public_state());
   decisions_[s] = robots_[s]->on_round(view);
   if constexpr (Mode == kClockDelayed) {
     if (decisions_[s].kind == ActionKind::Stay) {
@@ -639,7 +686,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   // simultaneous. One arena pass; views_used_/arena_used_ reset here.
   views_used_ = 0;
   arena_used_ = 0;
-  for (const std::uint32_t s : active_) (void)view_for(pos_[s], r);
+  for (const std::uint32_t s : active_) build_view(pos_[s], r);
 
   // ---- decisions --------------------------------------------------------
   // Stamped out three times (template, one out-of-line instantiation per
@@ -688,8 +735,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         GATHER_PROTOCOL(action.port < degree_at(pos_[s]));
         const NodeId from = pos_[s];
         const graph::HalfEdge h = traverse_at(from, action.port);
-        occupants_erase(from, s);
-        occupants_insert(h.to, s);
+        queue_arrival(s, from, h.to);
         pos_[s] = h.to;
         entry_port_[s] = h.to_port;
         ++move_count_[s];
@@ -762,6 +808,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   }
 
   if (suppressing) movers += apply_carried(r, result);
+  splice_arrivals();
 
   // A robot announcing termination claims gathering is complete; record
   // any announcement made while the full robot set (dormant and crashed
@@ -773,11 +820,8 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   }
 
   // ---- occupancy-change wakeups ------------------------------------------
+  // (splice_arrivals left touched_nodes_ sorted and deduplicated.)
   if (!config_.naive_stepping) {
-    std::sort(touched_nodes_.begin(), touched_nodes_.end());
-    touched_nodes_.erase(
-        std::unique(touched_nodes_.begin(), touched_nodes_.end()),
-        touched_nodes_.end());
     for (const NodeId node : touched_nodes_) {
       const NodeRec* rec = nodes_.find(node);
       if (rec == nullptr) continue;  // sparse mode: node emptied by a move

@@ -57,9 +57,14 @@
 // assigned by add_robot, in insertion order); robot labels are looked up
 // through a sorted slot array (binary search — no hash map anywhere).
 // Node occupancy is an intrusive singly-linked list (per-node head + a
-// per-slot next link, kept sorted by label) updated in place on moves,
-// and the per-round communication views live in one contiguous arena
-// stamped by round. After run() sizes the scratch buffers, the view,
+// per-slot next link, kept sorted by label). Moves are spliced in one
+// batch per round: each touched node's list is filtered once, then the
+// round's arrivals, sorted by (node, label), are merged into their
+// destinations — so a group arriving together costs linear, not
+// quadratic, time. The per-round communication views live in one
+// contiguous arena stamped by round, each with its message-bit sum, so
+// a robot's received bits are the sum minus its own entry. After run()
+// sizes the scratch buffers, the view,
 // occupancy, decision, and active-set machinery never allocates in the
 // round loop; the one amortized exception is the wake heap, which grows
 // past its reserve only when stale entries pile up faster than they are
@@ -74,7 +79,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -236,6 +240,7 @@ class Engine {
   struct ViewRef {
     std::uint32_t begin = 0;
     std::uint32_t size = 0;
+    std::uint64_t bits = 0;  ///< message bits of all entries together
   };
   std::vector<ViewRef> views_;
   std::size_t views_used_ = 0;
@@ -247,6 +252,13 @@ class Engine {
   std::vector<Round> resolved_stamp_;
   std::vector<std::uint8_t> resolve_mark_;
   std::vector<NodeId> touched_nodes_;
+  /// This round's movers, queued for the batched occupancy splice as
+  /// packed (destination << 32 | label rank) keys: sorting the integers
+  /// orders the arrivals by (node, label).
+  std::vector<std::uint64_t> arrivals_;
+  /// Per slot: its label's position in label order (the inverse of
+  /// slots_by_id_), so list order can be compared on 32-bit ranks.
+  std::vector<std::uint32_t> label_rank_;
   std::vector<std::uint32_t> active_;
   /// Parallel decide: per-active-index message-bit results, reduced
   /// serially so the metric sum is order-identical to the serial path.
@@ -259,13 +271,12 @@ class Engine {
   std::vector<std::uint8_t> carry_has_;
   std::vector<graph::HalfEdge> carry_edge_;
 
-  [[nodiscard]] std::span<const RobotPublicState> view_for(NodeId node,
-                                                           Round r);
+  /// Materialize node's round-r view (and its bit sum) unless memoized.
+  void build_view(NodeId node, Round r);
   /// Read-only lookup of a view already materialized for round r by the
   /// simulate_round pre-pass — the decide phase's accessor, safe to call
   /// from any decide worker thread (no memo writes).
-  [[nodiscard]] std::span<const RobotPublicState> view_cached(NodeId node,
-                                                              Round r) const;
+  [[nodiscard]] ViewRef view_cached(NodeId node, Round r) const;
   Action resolve_action(std::uint32_t slot, Round r);
 
   /// Robot-clock modes of the decision loop (see engine.cpp).
@@ -295,7 +306,11 @@ class Engine {
   [[nodiscard]] bool heap_pop_next(Round& round);
 
   void occupants_insert(NodeId node, std::uint32_t slot);
-  void occupants_erase(NodeId node, std::uint32_t slot);
+  /// Record a move for splice_arrivals (pos_ is updated by the caller).
+  void queue_arrival(std::uint32_t slot, NodeId from, NodeId to);
+  /// After all of a round's moves: unlink the movers from their sources
+  /// and merge them into their destinations' label-sorted lists.
+  void splice_arrivals();
 
   /// Label lookup; kNoSlot when no robot has this label.
   [[nodiscard]] std::uint32_t find_slot(RobotId id) const;

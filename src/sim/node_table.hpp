@@ -15,11 +15,12 @@
 // probe layout cannot leak into results. The hash is a fixed
 // multiplicative constant, identical on every platform.
 //
-// Rehashing only happens while robots are being added: the round loop
-// always erases a record (move source / crash) before inserting one
-// (move target), so occupancy never exceeds the robot count and the
-// table, sized for that count, never grows mid-run — the round loop
-// stays allocation-free in sparse mode too.
+// Rehashing only happens before the round loop: the engine reserves
+// room for one record per robot when run() starts, and its batched
+// move splice releases every emptied source record before it creates
+// any destination record, so the records held never exceed the robot
+// count and the table never grows mid-run — the round loop stays
+// allocation-free in sparse mode too.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,16 @@ class NodeTable {
     } else {
       rehash(kMinCapacity);
     }
+  }
+
+  /// Sparse mode: grow now so that `records` records fit without a
+  /// rehash (ref() rehashes at half load). A robot start on few nodes
+  /// leaves the table small, and the robots spread out later.
+  void reserve(std::size_t records) {
+    if (dense_mode_) return;
+    std::size_t capacity = keys_.size();
+    while (capacity < 2 * records) capacity *= 2;
+    if (capacity != keys_.size()) rehash(capacity);
   }
 
   [[nodiscard]] bool dense() const noexcept { return dense_mode_; }

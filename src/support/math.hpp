@@ -6,6 +6,7 @@
 // here.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -34,12 +35,7 @@ inline constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max
 
 /// Number of bits needed to represent v (bit_width); 0 for v == 0.
 [[nodiscard]] constexpr unsigned bit_width_u64(std::uint64_t v) noexcept {
-  unsigned w = 0;
-  while (v != 0) {
-    ++w;
-    v >>= 1;
-  }
-  return w;
+  return static_cast<unsigned>(std::bit_width(v));
 }
 
 /// ceil(log2(v)) for v >= 1; 0 for v == 1.

@@ -5,13 +5,13 @@ namespace gather::uxs {
 namespace {
 
 /// Walk the sequence, invoking visit(node) on every visited node
-/// (including the start); returns the final node.
+/// (including the start) until it returns false; returns the last node.
 template <typename Visit>
 graph::NodeId walk(const graph::Topology& g, const ExplorationSequence& seq,
                    graph::NodeId start, std::uint64_t steps, Visit&& visit) {
   graph::NodeId at = start;
   Port entry = graph::kNoPort;
-  visit(at);
+  if (!visit(at)) return at;
   for (std::uint64_t i = 0; i < steps; ++i) {
     const std::uint32_t degree = g.degree(at);
     if (degree == 0) break;  // single-node graph
@@ -19,7 +19,7 @@ graph::NodeId walk(const graph::Topology& g, const ExplorationSequence& seq,
     const graph::HalfEdge h = g.traverse(at, exit);
     at = h.to;
     entry = h.to_port;
-    visit(at);
+    if (!visit(at)) break;
   }
   return at;
 }
@@ -28,15 +28,19 @@ graph::NodeId walk(const graph::Topology& g, const ExplorationSequence& seq,
 
 bool explores_from(const graph::Topology& g, const ExplorationSequence& seq,
                    graph::NodeId start) {
-  std::vector<bool> seen(g.num_nodes(), false);
+  // Stop at full coverage: the rest of the prefix cannot undo it, and
+  // the covering oracle re-checks ever longer prefixes from every start.
+  const std::size_t n = g.num_nodes();
+  std::vector<bool> seen(n, false);
   std::size_t count = 0;
   walk(g, seq, start, seq.length(), [&](graph::NodeId v) {
     if (!seen[v]) {
       seen[v] = true;
       ++count;
     }
+    return count < n;
   });
-  return count == g.num_nodes();
+  return count == n;
 }
 
 bool covers_all_starts(const graph::Topology& g, const ExplorationSequence& seq) {
@@ -50,7 +54,7 @@ graph::NodeId walk_endpoint(const graph::Topology& g,
                             const ExplorationSequence& seq,
                             graph::NodeId start, std::uint64_t steps) {
   GATHER_EXPECTS(steps <= seq.length());
-  return walk(g, seq, start, steps, [](graph::NodeId) {});
+  return walk(g, seq, start, steps, [](graph::NodeId) { return true; });
 }
 
 }  // namespace gather::uxs

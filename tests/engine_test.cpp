@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <type_traits>
 
+#include "core/run.hpp"
 #include "graph/generators.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "support/assert.hpp"
 
@@ -443,6 +446,93 @@ TEST(Engine, NoMessagesWhenAlone) {
   engine.add_robot(std::make_unique<ScriptedRobot>(1, walk_then_terminate(2)), 0);
   const RunResult result = engine.run();
   EXPECT_EQ(result.metrics.total_message_bits, 0u);
+}
+
+// ---- crowded one-node runs -----------------------------------------------
+//
+// Faster-Gathering with every robot starting on one node: views hold k
+// entries and whole groups arrive at a node together, the regime where
+// the message-bit sum and the occupancy splice dominate. The pinned
+// values were captured before the engine computed per-view bit sums and
+// spliced arrivals in one batch; every execution strategy (skip or naive
+// stepping, dense or sparse node table, serial or parallel decide) must
+// reproduce them exactly. The semi-synchronous pin sends carried robots
+// through the same splice.
+
+struct CrowdedPin {
+  const char* family;
+  std::size_t n;
+  std::size_t k;
+  unsigned fairness;  ///< 0 = synchronous, else semi-synchronous fairness
+  std::uint64_t trace_hash;
+  std::uint64_t message_bits;
+  /// Naive stepping consults sleeping robots too, so it counts more bits.
+  std::uint64_t naive_message_bits;
+  std::uint64_t total_moves;
+  Round rounds;
+  Round first_gathered;
+};
+
+constexpr CrowdedPin kCrowdedPins[] = {
+    {"torus", 16, 64, 0, 5080899178599869533ULL, 9354933, 969008859, 6174,
+     16968, 0},
+    {"grid", 40, 160, 0, 3051456137833351700ULL, 167054140, 110513071260,
+     42140, 259368, 0},
+    {"torus", 9, 27, 3, 16218629018797364763ULL, 75579339, 739155511, 1393,
+     168396, 0},
+};
+
+enum class Strategy { Skip, Naive, Sparse, ParallelDecide };
+
+core::RunOutcome run_crowded(const scenario::ResolvedScenario& r,
+                             Strategy strategy) {
+  core::RunSpec spec = r.run_spec;
+  spec.naive_engine = strategy == Strategy::Naive;
+  if (strategy == Strategy::Sparse) spec.dense_node_limit = 0;
+  if (strategy == Strategy::ParallelDecide) {
+    spec.decide_threads = 4;
+    spec.decide_min_active = 1;
+  }
+  return core::run_gathering(*r.graph, r.placement, spec);
+}
+
+TEST(EngineCrowded, OneNodeRunsMatchPinsUnderEveryStrategy) {
+  for (const CrowdedPin& pin : kCrowdedPins) {
+    scenario::ScenarioSpec spec;
+    spec.family = pin.family;
+    spec.n = pin.n;
+    spec.k = pin.k;
+    spec.placement = "one-node";
+    spec.seed = 1;
+    if (pin.fairness > 0) {
+      spec.scheduler = "semi-synchronous";
+      spec.scheduler_params.set("fairness", std::to_string(pin.fairness));
+    }
+    const scenario::ResolvedScenario r = scenario::resolve(spec);
+    for (const Strategy strategy : {Strategy::Skip, Strategy::Naive,
+                                    Strategy::Sparse,
+                                    Strategy::ParallelDecide}) {
+      const std::string label = std::string(pin.family) + " n=" +
+                                std::to_string(pin.n) + " k=" +
+                                std::to_string(pin.k) + " fairness=" +
+                                std::to_string(pin.fairness) + " strategy=" +
+                                std::to_string(static_cast<int>(strategy));
+      const core::RunOutcome out = run_crowded(r, strategy);
+      const RunMetrics& m = out.result.metrics;
+      EXPECT_EQ(m.trace_hash, pin.trace_hash) << label;
+      EXPECT_EQ(m.total_message_bits, strategy == Strategy::Naive
+                                          ? pin.naive_message_bits
+                                          : pin.message_bits)
+          << label;
+      EXPECT_EQ(m.total_moves, pin.total_moves) << label;
+      EXPECT_EQ(m.rounds, pin.rounds) << label;
+      EXPECT_EQ(m.first_gathered, pin.first_gathered) << label;
+      EXPECT_TRUE(out.result.gathered_at_end) << label;
+      // Under suppression robots terminate at their own activations, so
+      // simultaneous termination (detection) is a synchronous-only claim.
+      EXPECT_EQ(out.result.detection_correct, pin.fairness == 0) << label;
+    }
+  }
 }
 
 TEST(Engine, TraceRecordsMoves) {

@@ -97,12 +97,27 @@ TEST(Math, SatPow) {
   EXPECT_EQ(sat_pow(0, 3), 0u);
 }
 
+// The schedule arithmetic evaluates bit widths in constant expressions.
+static_assert(bit_width_u64(0) == 0 && bit_width_u64(kU64Max) == 64);
+
 TEST(Math, BitWidth) {
   EXPECT_EQ(bit_width_u64(0), 0u);
   EXPECT_EQ(bit_width_u64(1), 1u);
   EXPECT_EQ(bit_width_u64(2), 2u);
   EXPECT_EQ(bit_width_u64(255), 8u);
   EXPECT_EQ(bit_width_u64(256), 9u);
+  // Every power boundary against a shift-loop reference.
+  const auto reference = [](std::uint64_t v) {
+    unsigned w = 0;
+    for (; v != 0; v >>= 1) ++w;
+    return w;
+  };
+  EXPECT_EQ(bit_width_u64(kU64Max), reference(kU64Max));
+  for (unsigned j = 1; j < 64; ++j) {
+    const std::uint64_t p = std::uint64_t{1} << j;
+    EXPECT_EQ(bit_width_u64(p - 1), reference(p - 1)) << "2^" << j << "-1";
+    EXPECT_EQ(bit_width_u64(p), reference(p)) << "2^" << j;
+  }
 }
 
 TEST(Math, CeilLog2) {
