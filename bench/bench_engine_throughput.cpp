@@ -20,6 +20,7 @@
 #include "graph/placement.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
 #include "uxs/uxs.hpp"
 
@@ -166,18 +167,22 @@ void BM_FollowChainResolution(benchmark::State& state) {
 }
 BENCHMARK(BM_FollowChainResolution)->Arg(2)->Arg(8)->Arg(32);
 
+/// Sleeps 10000 local rounds at a time; terminates at local round 100000.
+class Sleeper final : public sim::Robot {
+ public:
+  using sim::Robot::Robot;
+  sim::Action on_round(const sim::RoundView& view) override {
+    if (view.round >= 100000) return sim::Action::terminate();
+    return sim::Action::stay_until_round(view.round + 10000);
+  }
+};
+
 void BM_SkipVsNaive_QuietSchedule(benchmark::State& state) {
   // A robot that sleeps in long stretches: skip mode should be ~free.
+  // Items are elapsed global rounds.
   const bool naive = state.range(0) != 0;
   const graph::Graph g = graph::make_ring(8);
-  class Sleeper final : public sim::Robot {
-   public:
-    using sim::Robot::Robot;
-    sim::Action on_round(const sim::RoundView& view) override {
-      if (view.round >= 100000) return sim::Action::terminate();
-      return sim::Action::stay_until_round(view.round + 10000);
-    }
-  };
+  std::int64_t rounds = 0;
   for (auto _ : state) {
     sim::EngineConfig cfg;
     cfg.hard_cap = 200000;
@@ -185,10 +190,40 @@ void BM_SkipVsNaive_QuietSchedule(benchmark::State& state) {
     sim::Engine engine(g, cfg);
     engine.add_robot(std::make_unique<Sleeper>(1), 0);
     const auto result = engine.run();
+    rounds += static_cast<std::int64_t>(result.metrics.rounds);
     benchmark::DoNotOptimize(result.metrics.simulated_rounds);
   }
+  state.SetItemsProcessed(rounds);
 }
 BENCHMARK(BM_SkipVsNaive_QuietSchedule)->Arg(0)->Arg(1);
+
+void BM_SemiSyncClockSync(benchmark::State& state) {
+  // The same sleepers, one per node, under semi-synchronous fairness 4:
+  // every wake catches the slot's activation-count clock up over the
+  // skipped stretch (Scheduler::count_activations). Items are slots x
+  // elapsed global rounds, the (slot, round) pairs the catch-up covers.
+  const auto robots = static_cast<std::size_t>(state.range(0));
+  const graph::Graph g = graph::make_ring(robots);
+  const auto sched = std::make_shared<sim::SemiSynchronousScheduler>(1, 4);
+  std::int64_t slot_rounds = 0;
+  for (auto _ : state) {
+    sim::EngineConfig cfg;
+    cfg.hard_cap = sched->extend_cap(200000);
+    cfg.scheduler = sched;
+    sim::Engine engine(g, cfg);
+    for (std::size_t i = 0; i < robots; ++i) {
+      engine.add_robot(
+          std::make_unique<Sleeper>(static_cast<sim::RobotId>(i + 1)),
+          static_cast<graph::NodeId>(i));
+    }
+    const auto result = engine.run();
+    slot_rounds +=
+        static_cast<std::int64_t>(robots * (result.metrics.rounds + 1));
+    benchmark::DoNotOptimize(result.metrics.trace_hash);
+  }
+  state.SetItemsProcessed(slot_rounds);
+}
+BENCHMARK(BM_SemiSyncClockSync)->Arg(4)->Arg(16);
 
 void BM_FullFasterGathering(benchmark::State& state) {
   // End-to-end cost of one Faster-Gathering run (undispersed start).
@@ -198,13 +233,16 @@ void BM_FullFasterGathering(benchmark::State& state) {
   const auto nodes = graph::nodes_undispersed_random(g, 4, 5);
   const auto placement = graph::make_placement(
       nodes, graph::labels_random_distinct(4, n, 2, 7));
+  std::int64_t rounds = 0;
   for (auto _ : state) {
     core::RunSpec spec;
     spec.algorithm = core::AlgorithmKind::FasterGathering;
     spec.config = core::make_config(g, seq);
     const auto out = core::run_gathering(g, placement, spec);
+    rounds += static_cast<std::int64_t>(out.result.metrics.rounds);
     benchmark::DoNotOptimize(out.result.metrics.rounds);
   }
+  state.SetItemsProcessed(rounds);  // elapsed global rounds
 }
 BENCHMARK(BM_FullFasterGathering)->Arg(8)->Arg(16)->Arg(32);
 

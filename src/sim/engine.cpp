@@ -144,16 +144,11 @@ bool Engine::heap_pop_next(Round& round) {
 void Engine::sync_local(std::uint32_t slot, Round r) {
   // Lazy catch-up of the activation-count clock: every adversary-activated
   // round in the skipped stretch ticked the clock, acted on or not.
-  // activates() is pure, so this recount agrees exactly with the
-  // round-by-round increments naive stepping performs.
-  Round g = synced_to_[slot];
-  if (g >= r) return;
-  Round ticks = 0;
-  const RobotId id = ids_[slot];
-  for (; g < r; ++g) {
-    if (sched_->activates(g, slot, id)) ++ticks;
-  }
-  local_[slot] += ticks;
+  // count_activations() is the exact sum of the pure activates(), so this
+  // agrees with the round-by-round increments naive stepping performs.
+  const Round from = synced_to_[slot];
+  if (from >= r) return;
+  local_[slot] += sched_->count_activations(slot, ids_[slot], from, r);
   synced_to_[slot] = r;
 }
 
@@ -442,7 +437,10 @@ RunResult Engine::run() {
               continue;
             }
             if (!sched_->activates(r, slot, ids_[slot])) {
-              heap_push(r + 1, slot);  // suppressed: deferred one round
+              // Suppressed: deferred one round. Round r did not tick the
+              // clock, so the next catch-up starts after it.
+              synced_to_[slot] = r + 1;
+              heap_push(r + 1, slot);
               continue;
             }
             sleep_target_[slot] = kNoRound;  // promise consumed; re-deciding

@@ -290,8 +290,8 @@ class Engine {
   template <int Mode>
   std::uint64_t decide_one(std::uint32_t s, Round r);
 
-  /// Advance slot's local clock over [synced_to_, r) by counting the
-  /// scheduler's activates() predicate (suppressing schedulers only).
+  /// Advance slot's local clock over [synced_to_, r) with one
+  /// Scheduler::count_activations() call (suppressing schedulers only).
   void sync_local(std::uint32_t slot, Round r);
   /// Whether the inactive slot is carried by a take-followers move of
   /// its standing-follow chain this round; fills carry_edge_[slot].

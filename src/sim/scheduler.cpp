@@ -12,8 +12,10 @@ namespace {
 
 /// One deterministic 64-bit draw per (seed, a, b) — the adversaries'
 /// choices must be pure functions so skip/naive execution and reruns
-/// agree (see the Scheduler purity contract).
-std::uint64_t draw(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
+/// agree (see the Scheduler purity contract). Inline so the per-round
+/// coin loop in count_activations carries no call.
+inline std::uint64_t draw(std::uint64_t seed, std::uint64_t a,
+                          std::uint64_t b) {
   return support::SplitMix64(
              support::hash_combine(support::hash_combine(seed, a), b))
       .next();
@@ -26,6 +28,15 @@ Round Scheduler::release_round(std::uint32_t, RobotId) const { return 0; }
 Round Scheduler::crash_round(std::uint32_t, RobotId) const { return kNoRound; }
 
 bool Scheduler::activates(Round, std::uint32_t, RobotId) const { return true; }
+
+Round Scheduler::count_activations(std::uint32_t slot, RobotId id, Round begin,
+                                   Round end) const {
+  Round count = 0;
+  for (Round g = begin; g < end; ++g) {
+    if (activates(g, slot, id)) ++count;
+  }
+  return count;
+}
 
 Round Scheduler::fairness_bound() const { return 0; }
 
@@ -72,16 +83,38 @@ SemiSynchronousScheduler::SemiSynchronousScheduler(std::uint64_t seed,
   GATHER_EXPECTS(fairness >= 1);
 }
 
+// Guaranteed phase round every `fairness_` rounds (the fairness bound),
+// pseudorandom coin otherwise. Pure in (r, slot) by construction. The
+// coin lives in its own tag domain — with a bare `draw(seed_, r, slot)`
+// the round r == 0x5c coin would collide with the phase draw and
+// correlate suppression with the phase assignment.
+Round SemiSynchronousScheduler::phase_of(std::uint32_t slot) const {
+  return draw(seed_, 0x5c, slot) % fairness_;
+}
+
+Round SemiSynchronousScheduler::coin(Round r, std::uint32_t slot) const {
+  return draw(seed_, support::hash_combine(0xa1, r), slot) & 1;
+}
+
 bool SemiSynchronousScheduler::activates(Round r, std::uint32_t slot,
                                          RobotId) const {
-  // Guaranteed phase round every `fairness_` rounds (the fairness bound),
-  // pseudorandom coin otherwise. Pure in (r, slot) by construction. The
-  // coin lives in its own tag domain — with a bare `draw(seed_, r, slot)`
-  // the round r == 0x5c coin would collide with the phase draw and
-  // correlate suppression with the phase assignment.
-  const Round phase = draw(seed_, 0x5c, slot) % fairness_;
-  if (r % fairness_ == phase) return true;
-  return (draw(seed_, support::hash_combine(0xa1, r), slot) & 1) != 0;
+  return r % fairness_ == phase_of(slot) || coin(r, slot) != 0;
+}
+
+Round SemiSynchronousScheduler::count_activations(std::uint32_t slot, RobotId,
+                                                  Round begin,
+                                                  Round end) const {
+  const Round phase = phase_of(slot);
+  // `rem` tracks g % fairness_ without a division per round. The coin
+  // bit is added rather than branched on: it is a fair coin, so a branch
+  // would mispredict half the time.
+  Round count = 0;
+  Round rem = begin % fairness_;
+  for (Round g = begin; g < end; ++g) {
+    count += rem == phase ? 1 : coin(g, slot);
+    if (++rem == fairness_) rem = 0;
+  }
+  return count;
 }
 
 Round SemiSynchronousScheduler::extend_cap(Round cap) const {

@@ -45,6 +45,11 @@
 //    by counting this predicate over the global rounds since release
 //    (lazily, via the conservative-wake/re-check machinery in
 //    sim/engine.cpp).
+//  * count_activations(slot, id, begin, end) — that count, batched: how
+//    many rounds of [begin, end) activates() accepts. It must equal the
+//    sum of activates() over the range exactly (the default is that
+//    loop); an override may only compute the same number faster, or skip
+//    and naive stepping stop agreeing.
 //
 // The synchronous scheduler answers (0, never, always) — bit-identical
 // to an engine with no scheduler at all (pinned by
@@ -82,6 +87,13 @@ class Scheduler {
   /// fairness_bound() > 0.
   [[nodiscard]] virtual bool activates(Round r, std::uint32_t slot,
                                        RobotId id) const;
+
+  /// Number of rounds g in [begin, end) with activates(g, slot, id) —
+  /// the engine's clock catch-up over a skipped stretch. Must equal that
+  /// sum exactly. The default is the per-round loop, so a scheduler that
+  /// overrides only activates() stays exact.
+  [[nodiscard]] virtual Round count_activations(std::uint32_t slot, RobotId id,
+                                                Round begin, Round end) const;
 
   /// Suppression window: a pending robot is activated at least once every
   /// this-many rounds. 0 = this scheduler never suppresses (the engine
@@ -159,11 +171,21 @@ class SemiSynchronousScheduler final : public Scheduler {
   }
   [[nodiscard]] bool activates(Round r, std::uint32_t slot,
                                RobotId id) const override;
+  /// Same count as the per-round loop: the slot's phase is drawn once,
+  /// phase rounds are found by a modular counter, and the coin is
+  /// evaluated only on the other rounds.
+  [[nodiscard]] Round count_activations(std::uint32_t slot, RobotId id,
+                                        Round begin, Round end) const override;
   [[nodiscard]] Round fairness_bound() const override { return fairness_; }
   [[nodiscard]] Round extend_cap(Round cap) const override;
   [[nodiscard]] bool adversarial() const override { return fairness_ > 1; }
 
  private:
+  /// The slot's guaranteed round modulo fairness_.
+  [[nodiscard]] Round phase_of(std::uint32_t slot) const;
+  /// The pseudorandom activation bit (0 or 1) of a non-phase round.
+  [[nodiscard]] Round coin(Round r, std::uint32_t slot) const;
+
   std::uint64_t seed_ = 0;
   Round fairness_ = 1;
 };

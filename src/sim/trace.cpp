@@ -318,6 +318,17 @@ std::vector<std::uint32_t> read_slot_list(Reader& rd, std::size_t num_slots,
   return slots;
 }
 
+/// Decode one node id. The range check runs on the full 64-bit varint,
+/// before narrowing: node 2^32 + v must fail, not alias node v.
+NodeId read_node(Reader& rd, std::uint64_t num_nodes, const char* what) {
+  const std::uint64_t node = rd.varint();
+  if (node >= num_nodes) {
+    throw TraceError(std::string("malformed trace: ") + what +
+                     " out of range");
+  }
+  return static_cast<NodeId>(node);
+}
+
 }  // namespace
 
 Trace decode_trace(std::span<const std::uint8_t> bytes) {
@@ -333,6 +344,11 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
   }
   Trace t;
   t.num_nodes = rd.varint();
+  if (t.num_nodes > static_cast<NodeId>(-1)) {
+    // The engine's node ids are 32-bit (all-ones reserved); a larger
+    // count would let read_node pass ids that do not fit a NodeId.
+    throw TraceError("malformed trace: node count out of range");
+  }
   const std::uint64_t num_slots = rd.varint();
   if (num_slots == 0) throw TraceError("malformed trace: zero robots");
   if (num_slots > bytes.size()) {
@@ -350,10 +366,7 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
   for (TraceRobot& r : t.robots) {
     r.id = rd.varint();
     if (r.id == 0) throw TraceError("malformed trace: robot id 0");
-    r.start = static_cast<NodeId>(rd.varint());
-    if (r.start >= t.num_nodes) {
-      throw TraceError("malformed trace: start node out of range");
-    }
+    r.start = read_node(rd, t.num_nodes, "start node");
     r.release = rd.varint();
     r.crash = rd.varint() - 1;  // 0 = never, wraps back to kNoRound
   }
@@ -395,10 +408,7 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
             throw TraceError("malformed trace: move slot out of range");
           }
           rr.moves[i].slot = static_cast<std::uint32_t>(prev_slot);
-          rr.moves[i].to = static_cast<NodeId>(rd.varint());
-          if (rr.moves[i].to >= t.num_nodes) {
-            throw TraceError("malformed trace: move target out of range");
-          }
+          rr.moves[i].to = read_node(rd, t.num_nodes, "move target");
         }
         rr.terminations = read_slot_list(rd, num_slots, "termination");
         const std::uint64_t n_follows = rd.varint();
@@ -440,10 +450,7 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
             throw TraceError("malformed trace: carried slot out of range");
           }
           rr.carried[i].slot = static_cast<std::uint32_t>(prev_slot);
-          rr.carried[i].to = static_cast<NodeId>(rd.varint());
-          if (rr.carried[i].to >= t.num_nodes) {
-            throw TraceError("malformed trace: carried target out of range");
-          }
+          rr.carried[i].to = read_node(rd, t.num_nodes, "carried target");
         }
         t.rounds.push_back(std::move(rr));
         break;
@@ -462,7 +469,7 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
         res.gathered_at_end = (end_flags & kEndGathered) != 0;
         res.detection_correct = (end_flags & kEndDetectionCorrect) != 0;
         res.false_announcement = (end_flags & kEndFalseAnnouncement) != 0;
-        res.gather_node = static_cast<NodeId>(rd.varint());
+        res.gather_node = read_node(rd, t.num_nodes, "gather node");
         RunMetrics& m = res.metrics;
         m.rounds = rd.varint();
         m.first_gathered = rd.varint() - 1;
@@ -475,10 +482,7 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
         m.trace_hash = rd.u64le();
         t.final_positions.resize(num_slots);
         for (NodeId& p : t.final_positions) {
-          p = static_cast<NodeId>(rd.varint());
-          if (p >= t.num_nodes) {
-            throw TraceError("malformed trace: final position out of range");
-          }
+          p = read_node(rd, t.num_nodes, "final position");
         }
         m.moves_per_robot.resize(num_slots);
         for (std::uint64_t& c : m.moves_per_robot) c = rd.varint();

@@ -47,12 +47,4 @@ double Xoshiro256::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  // 64-bit mix of (a, b); boost::hash_combine style with 64-bit constants.
-  std::uint64_t h = a + 0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2);
-  h ^= b + 0x2545f4914f6cdd1dULL;
-  SplitMix64 sm(h);
-  return sm.next();
-}
-
 }  // namespace gather::support

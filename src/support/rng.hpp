@@ -71,6 +71,14 @@ class Xoshiro256 {
 };
 
 /// Combine seed components into a single 64-bit seed (order-sensitive).
-[[nodiscard]] std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept;
+/// Inline: the semi-synchronous scheduler's coin chains three of these
+/// per counted round (sim/scheduler.cpp).
+[[nodiscard]] inline std::uint64_t hash_combine(std::uint64_t a,
+                                                std::uint64_t b) noexcept {
+  // 64-bit mix of (a, b); boost::hash_combine style with 64-bit constants.
+  std::uint64_t h = a + 0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2);
+  h ^= b + 0x2545f4914f6cdd1dULL;
+  return SplitMix64(h).next();
+}
 
 }  // namespace gather::support

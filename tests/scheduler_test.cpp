@@ -18,9 +18,13 @@
 //
 // On top sit behavioural properties: semi-synchronous fairness, crash
 // freezing, detection soundness flags (RunResult::false_announcement),
-// and a registry/sweep pass over every graph family × every adversary.
+// the batched clock catch-up (count_activations exactness, a
+// differential run against the default per-round loop, and a
+// complexity gate), and a registry/sweep pass over every graph family ×
+// every adversary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -571,6 +575,246 @@ TEST(SemiSynchronous, CapLimitedRunCannotFalselyReportNonTermination) {
     EXPECT_FALSE(out.result.hit_round_cap) << "seed " << seed;
     EXPECT_TRUE(out.result.all_terminated) << "seed " << seed;
     EXPECT_TRUE(out.result.gathered_at_end) << "seed " << seed;
+  }
+}
+
+// ---- batched clock catch-up: count_activations ---------------------------
+
+TEST(CountActivations, SemiSynchronousEqualsSumOfActivates) {
+  // The override must count exactly what the per-round predicate says,
+  // on every range shape: empty, one round, unaligned to the fairness
+  // window, across 2^32, around 2^63, and up to the kNoRound sentinel.
+  constexpr sim::Round kTwo32 = sim::Round{1} << 32;
+  constexpr sim::Round kTwo63 = sim::Round{1} << 63;
+  const std::pair<sim::Round, sim::Round> ranges[] = {
+      {0, 0},          {41, 41},        {0, 1},
+      {6, 7},          {63, 64},        {0, 257},
+      {3, 200},        {7, 138},        {1001, 1064},
+      {kTwo32 - 70, kTwo32 + 71},       {kTwo63 - 90, kTwo63 + 45},
+      {kTwo63 - 1, kTwo63 + 1},         {sim::kNoRound - 100, sim::kNoRound},
+  };
+  for (const sim::Round fairness :
+       {1ull, 2ull, 3ull, 4ull, 5ull, 7ull, 64ull}) {
+    for (const std::uint64_t seed : {1ull, 17ull}) {
+      const sim::SemiSynchronousScheduler sched(seed, fairness);
+      for (std::uint32_t slot = 0; slot < 4; ++slot) {
+        const sim::RobotId id = slot + 1;
+        for (const auto& [begin, end] : ranges) {
+          sim::Round expected = 0;
+          for (sim::Round g = begin; g < end; ++g) {
+            expected += sched.activates(g, slot, id) ? 1 : 0;
+          }
+          EXPECT_EQ(sched.count_activations(slot, id, begin, end), expected)
+              << "fairness " << fairness << " seed " << seed << " slot "
+              << slot << " range [" << begin << ", " << end << ")";
+        }
+      }
+    }
+  }
+}
+
+/// Forwards only activates() (and the policy the engine needs to treat it
+/// as suppressing), so the engine's catch-up takes the base class's
+/// per-round count_activations loop.
+class ActivatesOnlyScheduler final : public sim::Scheduler {
+ public:
+  explicit ActivatesOnlyScheduler(std::shared_ptr<const sim::Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+  [[nodiscard]] bool activates(sim::Round r, std::uint32_t slot,
+                               sim::RobotId id) const override {
+    return inner_->activates(r, slot, id);
+  }
+  [[nodiscard]] sim::Round fairness_bound() const override {
+    return inner_->fairness_bound();
+  }
+  [[nodiscard]] sim::Round extend_cap(sim::Round cap) const override {
+    return inner_->extend_cap(cap);
+  }
+  [[nodiscard]] bool adversarial() const override {
+    return inner_->adversarial();
+  }
+
+ private:
+  std::shared_ptr<const sim::Scheduler> inner_;
+};
+
+/// "" when the two runs are identical field for field, else the first
+/// field that differs.
+std::string first_result_difference(const sim::RunResult& a,
+                                    const sim::RunResult& b) {
+  const sim::RunMetrics& x = a.metrics;
+  const sim::RunMetrics& y = b.metrics;
+  if (x.trace_hash != y.trace_hash) return "trace_hash";
+  if (x.rounds != y.rounds) return "rounds";
+  if (x.first_gathered != y.first_gathered) return "first_gathered";
+  if (x.first_termination != y.first_termination) return "first_termination";
+  if (x.last_termination != y.last_termination) return "last_termination";
+  if (x.total_moves != y.total_moves) return "total_moves";
+  if (x.moves_per_robot != y.moves_per_robot) return "moves_per_robot";
+  if (x.total_message_bits != y.total_message_bits) return "message_bits";
+  if (x.decision_calls != y.decision_calls) return "decision_calls";
+  if (x.simulated_rounds != y.simulated_rounds) return "simulated_rounds";
+  if (a.all_terminated != b.all_terminated) return "all_terminated";
+  if (a.hit_round_cap != b.hit_round_cap) return "hit_round_cap";
+  if (a.gathered_at_end != b.gathered_at_end) return "gathered_at_end";
+  if (a.detection_correct != b.detection_correct) return "detection_correct";
+  if (a.false_announcement != b.false_announcement) return "false_announcement";
+  if (a.gather_node != b.gather_node) return "gather_node";
+  return "";
+}
+
+TEST(CountActivations, OverrideAndDefaultLoopRunIdentically) {
+  // Differential referee: the same semi-synchronous policy, once with
+  // its batched count_activations and once through a wrapper whose
+  // catch-up is the default per-round loop, over every materialized
+  // family, four fairness bounds, and both stepping modes. A thrown
+  // violation is an outcome too and must match by message.
+  struct Case {
+    std::string family;
+    sim::Round fairness;
+    bool naive;
+  };
+  std::vector<Case> cases;
+  for (const std::string& family : scenario::graph_families().list()) {
+    if (family == "file" || family.rfind("implicit-", 0) == 0) continue;
+    for (const sim::Round fairness : {2ull, 3ull, 4ull, 5ull}) {
+      for (const bool naive : {false, true}) {
+        cases.push_back({family, fairness, naive});
+      }
+    }
+  }
+  ASSERT_EQ(cases.size(), 16u * 4u * 2u);
+  const auto run = [](core::RunSpec spec,
+                      const scenario::ResolvedScenario& resolved) {
+    try {
+      return std::make_pair(
+          core::run_gathering(*resolved.graph, resolved.placement, spec)
+              .result,
+          std::string());
+    } catch (const std::exception& e) {
+      return std::make_pair(sim::RunResult{}, std::string(e.what()));
+    }
+  };
+  std::vector<std::string> failures(cases.size());
+  support::parallel_for_index(
+      cases.size(), support::default_thread_count(), [&](std::size_t i) {
+        const Case& c = cases[i];
+        scenario::ScenarioSpec spec;
+        spec.family = c.family;
+        spec.n = 8;
+        spec.k = 3;
+        spec.placement = "undispersed";
+        spec.scheduler = "semi-synchronous";
+        spec.scheduler_params.set("fairness", std::to_string(c.fairness));
+        spec.seed = 7;
+        const scenario::ResolvedScenario resolved = scenario::resolve(spec);
+        core::RunSpec direct = resolved.run_spec;
+        direct.naive_engine = c.naive;
+        core::RunSpec looped = direct;
+        looped.scheduler =
+            std::make_shared<ActivatesOnlyScheduler>(direct.scheduler);
+        const auto [a, a_error] = run(direct, resolved);
+        const auto [b, b_error] = run(looped, resolved);
+        const std::string name = c.family + " fairness " +
+                                 std::to_string(c.fairness) +
+                                 (c.naive ? " naive" : " skip");
+        if (a_error != b_error) {
+          failures[i] = name + ": violations differ: '" + a_error + "' vs '" +
+                        b_error + "'";
+        } else if (const std::string field = first_result_difference(a, b);
+                   !field.empty()) {
+          failures[i] = name + ": " + field + " differs";
+        }
+      });
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+}
+
+/// Counts the engine's scheduler traffic: per-round activates() calls,
+/// the rounds covered by count_activations() calls, and per slot how
+/// many rounds were evaluated either way and the last one.
+class CountingScheduler final : public sim::Scheduler {
+ public:
+  CountingScheduler(sim::Round fairness, std::size_t slots)
+      : evaluated(slots, 0), last(slots, 0), inner_(5, fairness) {}
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] bool activates(sim::Round r, std::uint32_t slot,
+                               sim::RobotId id) const override {
+    ++activates_calls;
+    note(slot, r, r + 1);
+    return inner_.activates(r, slot, id);
+  }
+  [[nodiscard]] sim::Round count_activations(std::uint32_t slot,
+                                             sim::RobotId id, sim::Round begin,
+                                             sim::Round end) const override {
+    counted_rounds += end - begin;
+    note(slot, begin, end);
+    return inner_.count_activations(slot, id, begin, end);
+  }
+  [[nodiscard]] sim::Round fairness_bound() const override {
+    return inner_.fairness_bound();
+  }
+
+  // Single-threaded test use only.
+  mutable std::uint64_t activates_calls = 0;
+  mutable std::uint64_t counted_rounds = 0;
+  mutable std::vector<std::uint64_t> evaluated;
+  mutable std::vector<sim::Round> last;
+
+ private:
+  void note(std::uint32_t slot, sim::Round begin, sim::Round end) const {
+    if (begin >= end) return;
+    evaluated[slot] += end - begin;
+    last[slot] = std::max(last[slot], end - 1);
+  }
+
+  sim::SemiSynchronousScheduler inner_;
+};
+
+TEST(CountActivations, ClockCatchUpIsLinearInPopsNotElapsedRounds) {
+  // Complexity gate: sleepers that Stay 10000 local rounds at a time
+  // under fairness 4. The engine may consult activates() only at the
+  // rounds it pops a slot (at most `fairness` per decision: a suppressed
+  // pop defers one round, and no slot is suppressed `fairness` rounds
+  // running); everything else is batched, and no (slot, round) pair is
+  // evaluated twice.
+  constexpr sim::Round kFairness = 4;
+  constexpr std::size_t kSleepers = 3;
+  class Sleeper final : public sim::Robot {
+   public:
+    using sim::Robot::Robot;
+    sim::Action on_round(const sim::RoundView& view) override {
+      if (view.round >= 50000) return sim::Action::terminate();
+      return sim::Action::stay_until_round(view.round + 10000);
+    }
+  };
+  const auto sched = std::make_shared<CountingScheduler>(kFairness, kSleepers);
+  sim::EngineConfig cfg;
+  cfg.hard_cap = 1'000'000;
+  cfg.scheduler = sched;
+  const graph::Graph g = graph::make_ring(6);
+  sim::Engine engine(g, cfg);
+  for (std::size_t i = 0; i < kSleepers; ++i) {
+    engine.add_robot(std::make_unique<Sleeper>(i + 1),
+                     static_cast<graph::NodeId>(2 * i));
+  }
+  const sim::RunResult result = engine.run();
+  ASSERT_TRUE(result.all_terminated);
+  const std::uint64_t slot_rounds = kSleepers * (result.metrics.rounds + 1);
+  EXPECT_GT(result.metrics.rounds, 50000u);
+  EXPECT_LE(sched->activates_calls,
+            kFairness * result.metrics.decision_calls);
+  EXPECT_LT(100 * sched->activates_calls, slot_rounds);
+  EXPECT_GT(sched->counted_rounds, 0u);
+  EXPECT_LE(sched->counted_rounds, slot_rounds);
+  // Exactly once: every round up to the slot's last is evaluated, so
+  // a count equal to last + 1 leaves no room for a repeat.
+  for (std::size_t s = 0; s < kSleepers; ++s) {
+    EXPECT_EQ(sched->evaluated[s], sched->last[s] + 1) << "slot " << s;
   }
 }
 

@@ -17,8 +17,11 @@
 //     and never with undefined behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/run.hpp"
@@ -246,6 +249,102 @@ TEST(TraceNegative, TrailingGarbageRejected) {
   std::vector<std::uint8_t> bytes = golden_bytes();
   bytes.push_back(0x00);
   EXPECT_THROW((void)decode_trace(bytes), TraceError);
+}
+
+/// Recompute the trailing FNV-1a checksum after a byte patch, so the
+/// patched buffer reaches the decoder's structural checks.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  bytes.resize(bytes.size() - 8);
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(h >> (8 * i)));
+  }
+}
+
+/// The encoding of `trace` with one varint field replaced by `wide`,
+/// checksum resealed. `set` writes the field; encoding it as 0 and as 1
+/// (both one-byte varints) locates it at the first byte where the two
+/// buffers differ.
+std::vector<std::uint8_t> patch_varint(
+    Trace trace, const std::function<void(Trace&, std::uint64_t)>& set,
+    std::uint64_t wide) {
+  set(trace, 0);
+  std::vector<std::uint8_t> bytes = encode_trace(trace);
+  set(trace, 1);
+  const std::vector<std::uint8_t> other = encode_trace(trace);
+  EXPECT_EQ(bytes.size(), other.size());
+  const auto at =
+      std::mismatch(bytes.begin(), bytes.end(), other.begin()).first;
+  EXPECT_NE(at, bytes.end());
+  std::vector<std::uint8_t> encoded;  // LEB128, as the writer emits it
+  std::uint64_t v = wide;
+  for (; v >= 0x80; v >>= 7) {
+    encoded.push_back(static_cast<std::uint8_t>(v) | 0x80);
+  }
+  encoded.push_back(static_cast<std::uint8_t>(v));
+  const auto offset = at - bytes.begin();
+  bytes.erase(bytes.begin() + offset);
+  bytes.insert(bytes.begin() + offset, encoded.begin(), encoded.end());
+  reseal(bytes);
+  return bytes;
+}
+
+TEST(TraceNegative, NodeIdsAreRangeCheckedBeforeNarrowing) {
+  // A checksum-valid trace naming node 2^32 + v must be rejected, not
+  // decoded as node v: every node field is range-checked as the full
+  // 64-bit varint.
+  const Trace golden = decode_trace(golden_bytes());
+  ASSERT_LT(golden.num_nodes, 32u);
+  constexpr std::uint64_t kAlias = (std::uint64_t{1} << 32) + 3;
+  std::size_t moved = 0;
+  while (golden.rounds[moved].moves.empty()) ++moved;
+  const std::vector<
+      std::pair<const char*, std::function<void(Trace&, std::uint64_t)>>>
+      fields = {
+          {"start node",
+           [](Trace& t, std::uint64_t v) {
+             t.robots[0].start = static_cast<NodeId>(v);
+           }},
+          {"move target",
+           [moved](Trace& t, std::uint64_t v) {
+             t.rounds[moved].moves[0].to = static_cast<NodeId>(v);
+           }},
+          {"carried target",
+           [](Trace& t, std::uint64_t v) {
+             t.rounds[0].carried = {{0, static_cast<NodeId>(v)}};
+           }},
+          {"gather node",
+           [](Trace& t, std::uint64_t v) {
+             t.recorded.gather_node = static_cast<NodeId>(v);
+           }},
+          {"final position",
+           [](Trace& t, std::uint64_t v) {
+             t.final_positions[0] = static_cast<NodeId>(v);
+           }},
+      };
+  for (const auto& [what, set] : fields) {
+    // The same patch with an in-range node decodes, so the rejection
+    // below is the range check's, not collateral damage.
+    EXPECT_NO_THROW((void)decode_trace(patch_varint(golden, set, 3))) << what;
+    try {
+      (void)decode_trace(patch_varint(golden, set, kAlias));
+      ADD_FAILURE() << what << ": node 2^32+3 decoded";
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+  // A node count past the 32-bit id space would let 2^32 + v through
+  // the per-field check, so the header rejects it.
+  const auto set_count = [](Trace& t, std::uint64_t v) { t.num_nodes = v; };
+  EXPECT_NO_THROW((void)decode_trace(patch_varint(golden, set_count, 9)));
+  const std::uint64_t past_ids = (std::uint64_t{1} << 32) + 9;
+  EXPECT_THROW((void)decode_trace(patch_varint(golden, set_count, past_ids)),
+               TraceError);
 }
 
 TEST(TraceNegative, ReplayCatchesInconsistentTrailer) {
