@@ -36,6 +36,7 @@
 #include <sstream>
 
 #include "api/service.hpp"
+#include "api/spec_text.hpp"
 #include "core/timeline.hpp"
 #include "graph/io.hpp"
 #include "scenario/scenario.hpp"
@@ -223,7 +224,6 @@ scenario::ScenarioSpec base_spec(const support::CliParser& cli) {
   spec.seed = cli.get_uint("seed");
   spec.hard_cap = cli.get_uint("hard-cap");
   spec.decide_threads = static_cast<unsigned>(cli.get_uint("decide-threads"));
-  spec.record_trace = cli.get_flag("timeline");
   spec.trace_path = cli.get("record");
   return spec;
 }
@@ -298,18 +298,7 @@ int run_sweep(const support::CliParser& cli, Service& service) {
   sweep.steal_chunk = cli.get_uint("steal-chunk");
   sweep.use_result_cache = cli.get_flag("cache");
   sweep.trace_dir = cli.get("trace-dir");
-  sweep.base.trace_path.clear();  // --record is single-run only
-  // Cheap pre-filter on the REQUESTED n; families that round n (e.g.
-  // hypercube) can still reject k at resolve time, so infeasible points
-  // are additionally skipped rather than aborting the sweep.
-  sweep.filter = [](const scenario::ScenarioSpec& s) {
-    return s.k >= 2 && s.k <= s.n;
-  };
-  sweep.skip_infeasible = true;
-  // Adversarial schedulers can legitimately break protocol invariants
-  // mid-run; report that per row (the `violation` column) instead of
-  // aborting a user's sweep.
-  sweep.tolerate_protocol_violations = true;
+  api::apply_sweep_policy(sweep);
 
   scenario::SweepStats stats;
   const std::vector<scenario::SweepRow> rows = service.sweep(sweep, &stats);
@@ -354,7 +343,12 @@ int run_sweep(const support::CliParser& cli, Service& service) {
 
 int run_single(const support::CliParser& cli, Service& service) {
   const scenario::ScenarioSpec spec = base_spec(cli);
-  const scenario::ResolvedScenario resolved = service.resolve(spec);
+  scenario::ResolvedScenario resolved = service.resolve(spec);
+  // --timeline analyses the binary trace; it shares the recorder with
+  // --record, so one run both writes the file and feeds the table.
+  const bool timeline = cli.get_flag("timeline");
+  sim::TraceRecorder recorder;
+  if (timeline) resolved.run_spec.trace_recorder = &recorder;
 
   std::cout << "instance: n=" << resolved.realized_n;
   // The 'file' family takes n from the file — there is no request.
@@ -404,9 +398,11 @@ int run_single(const support::CliParser& cli, Service& service) {
             << "resolved by stage: hop-" << out.gathered_stage_hop << "\n"
             << "peak map bits:     " << out.peak_map_bits << "\n";
 
-  if (cli.get_flag("timeline") && out.schedule.has_value()) {
+  if (timeline && out.schedule.has_value()) {
     std::cout << "\nper-stage activity:\n";
-    core::Timeline::from_trace(out.trace, *out.schedule).print(std::cout);
+    core::Timeline::from_trace(sim::decode_trace(recorder.bytes()),
+                               *out.schedule)
+        .print(std::cout);
   }
   if (cli.provided("dot")) {
     if (const graph::Graph* csr = resolved.graph->as_csr()) {

@@ -38,7 +38,7 @@
  * comments and blank lines skipped). Unset keys keep the library
  * defaults — the same defaults as gather_cli — and gather_sweep_csv
  * output is byte-identical to `gather_cli --sweep` for the same grid.
- * See docs/DESIGN.md §3.13 for the full key list and the contract.
+ * See DESIGN.md §3.13 for the full key list and the contract.
  *
  * All char** results are malloc'd NUL-terminated buffers owned by the
  * caller; release them with gather_free(). Out parameters are written
@@ -62,9 +62,9 @@ extern "C" {
 /* Semantic version of the library; gather_version() returns the same
  * values at runtime, so an embedder can detect a header/library skew. */
 #define GATHER_VERSION_MAJOR 0
-#define GATHER_VERSION_MINOR 1
+#define GATHER_VERSION_MINOR 2
 #define GATHER_VERSION_PATCH 0
-#define GATHER_VERSION_STRING "0.1.0"
+#define GATHER_VERSION_STRING "0.2.0"
 
 #if defined(_WIN32)
 #define GATHER_API
@@ -148,7 +148,7 @@ GATHER_API void gather_free(char* buffer);
  * Valid until this thread's next libgather call. Never NULL. */
 GATHER_API const char* gather_last_error(void);
 
-/* Runtime library version, e.g. "0.1.0" (== GATHER_VERSION_STRING when
+/* Runtime library version, e.g. "0.2.0" (== GATHER_VERSION_STRING when
  * header and library match). */
 GATHER_API const char* gather_version(void);
 GATHER_API int gather_version_major(void);

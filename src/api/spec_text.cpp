@@ -104,8 +104,6 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
     spec.delta_aware = parse_bool_value(line);
   } else if (line.key == "known_min_pair_distance") {
     spec.known_min_pair_distance = parse_int_value(line);
-  } else if (line.key == "record_trace") {
-    spec.record_trace = parse_bool_value(line);
   } else if (line.key == "hard_cap") {
     spec.hard_cap = parse_uint_value(line);
   } else if (line.key == "decide_threads") {
@@ -173,18 +171,23 @@ scenario::SweepSpec parse_sweep_spec(const std::string& text) {
       unknown_key(line, "sweep");
     }
   }
-  // The gather_cli --sweep harness policy, applied identically so the
-  // ABI's CSV bytes match the CLI's for the same grid: drop points
-  // whose k is outside [2, n] up front, skip points a rounding family
-  // rejects at resolve time, and record adversarial protocol
-  // violations per row instead of aborting.
+  apply_sweep_policy(sweep);
+  return sweep;
+}
+
+void apply_sweep_policy(scenario::SweepSpec& sweep) {
   sweep.base.trace_path.clear();  // trace_path is single-run only
+  // Cheap pre-filter on the REQUESTED n; families that round n (e.g.
+  // hypercube) can still reject k at resolve time, so infeasible points
+  // are additionally skipped rather than aborting the sweep.
   sweep.filter = [](const scenario::ScenarioSpec& s) {
     return s.k >= 2 && s.k <= s.n;
   };
   sweep.skip_infeasible = true;
+  // Adversarial schedulers can legitimately break protocol invariants
+  // mid-run; report that per row (the `violation` column) instead of
+  // aborting the sweep.
   sweep.tolerate_protocol_violations = true;
-  return sweep;
 }
 
 }  // namespace gather::api

@@ -9,11 +9,11 @@
 // ScenarioError with the offending line, which the ABI translates to
 // GATHER_STATUS_USAGE — a C caller's typo is a usage error, never UB.
 //
-// parse_sweep_spec applies the same harness policy as `gather_cli
-// --sweep` (k in [2, n] pre-filter, skip_infeasible, tolerated
-// protocol violations) so the CSV bytes out of gather_sweep_csv are
-// identical to the CLI's for the same grid — pinned by tests/
-// api_test.cpp.
+// parse_sweep_spec and `gather_cli --sweep` both apply one harness
+// policy, apply_sweep_policy (k in [2, n] pre-filter, skip_infeasible,
+// tolerated protocol violations), so the CSV bytes out of
+// gather_sweep_csv are identical to the CLI's for the same grid —
+// pinned by tests/api_test.cpp.
 //
 // Not part of the extern "C" surface: this file may throw (the ABI's
 // translate helper is the only place exceptions become status codes).
@@ -29,14 +29,18 @@ namespace gather::api {
 /// Parse a single-run spec. Every ScenarioSpec field is addressable:
 /// family, family_params, placement, placement_params, labeling,
 /// algorithm, sequence, scheduler, scheduler_params, n, k,
-/// id_exponent_b, seed, delta_aware, known_min_pair_distance,
-/// record_trace, hard_cap, decide_threads, trace_path.
+/// id_exponent_b, seed, delta_aware, known_min_pair_distance, hard_cap,
+/// decide_threads, trace_path.
 [[nodiscard]] scenario::ScenarioSpec parse_run_spec(const std::string& text);
 
 /// Parse a sweep spec: all run-spec keys (the base point) plus the axis
 /// lists families, sizes, k_rules, placements, algorithms, schedulers,
 /// seeds (comma-separated) and the execution knobs threads, steal_chunk,
-/// use_result_cache, trace_dir.
+/// use_result_cache, trace_dir. The result carries apply_sweep_policy.
 [[nodiscard]] scenario::SweepSpec parse_sweep_spec(const std::string& text);
+
+/// The sweep harness policy that parse_sweep_spec and gather_cli --sweep
+/// share (see the file comment); also clears the single-run trace_path.
+void apply_sweep_policy(scenario::SweepSpec& sweep);
 
 }  // namespace gather::api

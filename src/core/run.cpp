@@ -72,7 +72,6 @@ RunOutcome run_gathering(const graph::Topology& g,
   sim::EngineConfig engine_config;
   engine_config.hard_cap = cap;
   engine_config.naive_stepping = spec.naive_engine;
-  engine_config.record_trace = spec.record_trace;
   engine_config.trace_recorder = spec.trace_recorder;
   engine_config.scheduler = spec.scheduler;
   engine_config.decide_threads = spec.decide_threads;
@@ -121,7 +120,6 @@ RunOutcome run_gathering(const graph::Topology& g,
     }
     throw;
   }
-  if (spec.record_trace) outcome.trace = engine.trace();
   if (sched.has_value()) outcome.schedule = *sched;
 
   for (const auto* robot : faster_robots) {
@@ -144,7 +142,7 @@ RunOutcome run_gathering(const graph::Topology& g,
     const auto& stages = sched->stages();
     for (std::size_t i = 0; i < stages.size(); ++i) {
       if (when >= stages[i].start &&
-          when < stages[i].start + stages[i].duration) {
+          when < support::sat_add(stages[i].start, stages[i].duration)) {
         outcome.gathered_stage = static_cast<int>(i);
         outcome.gathered_stage_hop =
             stages[i].kind == StageKind::UxsGathering

@@ -37,7 +37,6 @@ struct RunSpec {
   AlgorithmKind algorithm = AlgorithmKind::FasterGathering;
   AlgorithmConfig config;
   bool naive_engine = false;
-  bool record_trace = false;
   /// 0 = derive from the schedule.
   sim::Round hard_cap = 0;
   /// Opt-in binary trace sink (sim/trace.hpp), non-owning; must outlive
@@ -74,9 +73,6 @@ struct RunOutcome {
   int gathered_stage = -1;
   /// The hop parameter of that stage (0 for plain UG, 6 for the UXS stage).
   int gathered_stage_hop = -1;
-  /// Recorded move events (only when spec.record_trace; may be truncated
-  /// at the engine's trace_limit). Feed to core::Timeline for analysis.
-  std::vector<sim::TraceEvent> trace;
   /// The schedule the robots ran (FasterGathering / UxsOnly only).
   std::optional<Schedule> schedule;
 };

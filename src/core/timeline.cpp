@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <ostream>
 
+#include "support/math.hpp"
 #include "support/table.hpp"
 
 namespace gather::core {
 
-Timeline Timeline::from_trace(const std::vector<sim::TraceEvent>& trace,
+Timeline Timeline::from_trace(const sim::Trace& trace,
                               const Schedule& schedule) {
   Timeline timeline;
   for (std::size_t i = 0; i < schedule.stages().size(); ++i) {
@@ -22,12 +23,18 @@ Timeline Timeline::from_trace(const std::vector<sim::TraceEvent>& trace,
   }
   if (timeline.stages_.empty()) return timeline;
 
-  // Dense label space: rank-compress the labels that appear in the trace
+  // Dense label space: rank-compress the labels of the robots that move
   // so per-stage counters are flat arrays of length #movers, independent
-  // of how sparse the label range [1, n^b] is.
-  timeline.labels_.reserve(trace.size());
-  for (const sim::TraceEvent& event : trace)
-    timeline.labels_.push_back(event.robot);
+  // of how sparse the label range [1, n^b] is. A move event is an active
+  // move or a carried (standing-follow) move.
+  std::vector<std::uint8_t> moved(trace.robots.size(), 0);
+  for (const sim::TraceRound& round : trace.rounds) {
+    for (const sim::TraceMove& move : round.moves) moved[move.slot] = 1;
+    for (const sim::TraceMove& move : round.carried) moved[move.slot] = 1;
+  }
+  for (std::size_t slot = 0; slot < moved.size(); ++slot) {
+    if (moved[slot] != 0) timeline.labels_.push_back(trace.robots[slot].id);
+  }
   std::sort(timeline.labels_.begin(), timeline.labels_.end());
   timeline.labels_.erase(
       std::unique(timeline.labels_.begin(), timeline.labels_.end()),
@@ -35,26 +42,32 @@ Timeline Timeline::from_trace(const std::vector<sim::TraceEvent>& trace,
   for (StageActivity& stage : timeline.stages_)
     stage.moves_by_robot.assign(timeline.labels_.size(), 0);
 
-  for (const sim::TraceEvent& event : trace) {
+  for (const sim::TraceRound& round : trace.rounds) {
+    if (round.moves.empty() && round.carried.empty()) continue;
     // Stages are contiguous from round 0; find the owning stage.
     std::size_t idx = timeline.stages_.size() - 1;
     for (std::size_t i = 0; i < timeline.stages_.size(); ++i) {
       const StageActivity& s = timeline.stages_[i];
-      if (event.round >= s.start && event.round < s.start + s.duration) {
+      if (round.round >= s.start &&
+          round.round < support::sat_add(s.start, s.duration)) {
         idx = i;
         break;
       }
     }
     StageActivity& s = timeline.stages_[idx];
-    ++s.moves;
-    const auto rank = static_cast<std::size_t>(
-        std::lower_bound(timeline.labels_.begin(), timeline.labels_.end(),
-                         event.robot) -
-        timeline.labels_.begin());
-    ++s.moves_by_robot[rank];
-    if (s.first_move == sim::kNoRound) s.first_move = event.round;
-    s.last_move = std::max(s.last_move == sim::kNoRound ? 0 : s.last_move,
-                           event.round);
+    const auto count = [&](const sim::TraceMove& move) {
+      ++s.moves;
+      const sim::RobotId label = trace.robots[move.slot].id;
+      ++s.moves_by_robot[static_cast<std::size_t>(
+          std::lower_bound(timeline.labels_.begin(), timeline.labels_.end(),
+                           label) -
+          timeline.labels_.begin())];
+    };
+    for (const sim::TraceMove& move : round.moves) count(move);
+    for (const sim::TraceMove& move : round.carried) count(move);
+    // Trace rounds ascend, so the first event seen is the stage's first.
+    if (s.first_move == sim::kNoRound) s.first_move = round.round;
+    s.last_move = round.round;
   }
   return timeline;
 }
@@ -103,7 +116,8 @@ void Timeline::print(std::ostream& os) const {
     table.add_row(
         {TextTable::num(std::uint64_t{s.stage_index}), kind,
          std::string("[") + TextTable::grouped(s.start) + ", " +
-             TextTable::grouped(s.start + s.duration) + ")",
+             TextTable::grouped(support::sat_add(s.start, s.duration)) +
+             ")",
          TextTable::grouped(s.moves),
          TextTable::num(std::uint64_t{s.active_robots()}),
          s.moves == 0 ? "-"

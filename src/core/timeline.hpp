@@ -1,6 +1,6 @@
-// Post-run analysis: bucket a recorded engine trace by the schedule's
-// stages to show where a run spent its movement — which step did the
-// work, who moved, and when gathering actually happened. Stage
+// Post-run analysis: bucket a decoded binary trace (sim/trace.hpp) by
+// the schedule's stages to show where a run spent its movement — which
+// step did the work, who moved, and when gathering actually happened. Stage
 // attribution is the quantity Theorems 12 and 16 reason about (which
 // ladder step resolves a given initial configuration). Powers
 // gather_cli --timeline and the debugging workflow ("why did this run
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/schedule.hpp"
-#include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace gather::core {
 
@@ -37,10 +37,11 @@ struct StageActivity {
 
 class Timeline {
  public:
-  /// Bucket `trace` (recorded with EngineConfig::record_trace) into the
-  /// schedule's stages. Events beyond the last stage are attributed to it.
-  [[nodiscard]] static Timeline from_trace(
-      const std::vector<sim::TraceEvent>& trace, const Schedule& schedule);
+  /// Bucket the move events of `trace` — every TraceRound's `moves` and
+  /// `carried` entries — into the schedule's stages. Events beyond the
+  /// last stage are attributed to it.
+  [[nodiscard]] static Timeline from_trace(const sim::Trace& trace,
+                                           const Schedule& schedule);
 
   [[nodiscard]] const std::vector<StageActivity>& stages() const noexcept {
     return stages_;
@@ -56,11 +57,11 @@ class Timeline {
   [[nodiscard]] std::uint64_t moves_for(const StageActivity& stage,
                                         sim::RobotId label) const;
 
-  /// Total moves across all stages (== metrics.total_moves when the trace
-  /// was not truncated by trace_limit).
+  /// Total moves across all stages (== metrics.total_moves of the traced
+  /// run).
   [[nodiscard]] std::uint64_t total_moves() const noexcept;
 
-  /// The first stage with any movement (-1 if the trace is empty).
+  /// The first stage with any movement (-1 if the trace has no moves).
   [[nodiscard]] int first_active_stage() const noexcept;
 
   /// Render as an aligned table.

@@ -3,11 +3,8 @@
 namespace gather::scenario {
 namespace {
 
-std::uint64_t payload_bytes(const std::string& key, const CachedRun& run) {
-  return static_cast<std::uint64_t>(key.size()) +
-         static_cast<std::uint64_t>(run.outcome.trace.size()) *
-             sizeof(sim::TraceEvent) +
-         sizeof(CachedRun);
+std::uint64_t payload_bytes(const std::string& key) {
+  return static_cast<std::uint64_t>(key.size()) + sizeof(CachedRun);
 }
 
 }  // namespace
@@ -39,7 +36,7 @@ void ResultCache::store(const std::string& fingerprint, const CachedRun& run) {
   Entry entry;
   entry.run = run;
   entry.last_use = ++tick_;
-  entry.bytes = payload_bytes(fingerprint, run);
+  entry.bytes = payload_bytes(fingerprint);
   entries_.emplace(fingerprint, std::move(entry));
   while (entries_.size() > capacity_) evict_lru_locked();
 }

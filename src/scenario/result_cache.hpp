@@ -39,7 +39,7 @@ struct CachedRun {
 
 /// Counters for SweepRunner stats and `gather_cli --cache-stats`.
 /// `resident_bytes` approximates live payload: fingerprint keys plus
-/// trace events plus the fixed outcome footprint.
+/// the fixed outcome footprint.
 struct ResultCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -68,7 +68,6 @@ ResolvedScenario resolve_impl(const ScenarioSpec& spec, GraphCache* cache) {
     r.run_spec.config.known_delta = r.graph->max_degree();
   }
   r.run_spec.config.known_min_pair_distance = spec.known_min_pair_distance;
-  r.run_spec.record_trace = spec.record_trace;
   r.run_spec.hard_cap = spec.hard_cap;
   r.run_spec.decide_threads = spec.decide_threads;
   r.run_spec.scheduler = scheduler.factory(
@@ -132,7 +131,6 @@ std::string fingerprint(const ScenarioSpec& spec) {
   field("delta_aware", spec.delta_aware ? "1" : "0");
   field("known_min_pair_distance",
         std::to_string(spec.known_min_pair_distance));
-  field("record_trace", spec.record_trace ? "1" : "0");
   field("hard_cap", std::to_string(spec.hard_cap));
   // trace_path and decide_threads are deliberately absent: the first
   // names where a trace goes, the second how the decide loop is
@@ -151,9 +149,12 @@ core::RunOutcome run_resolved(const ResolvedScenario& resolved,
     return core::run_gathering(*resolved.graph, resolved.placement,
                                resolved.run_spec);
   }
-  sim::TraceRecorder recorder;
+  // A recorder the caller already set is reused, so one run can both
+  // feed the caller's analysis (gather_cli --timeline) and write the file.
+  sim::TraceRecorder own;
   core::RunSpec spec = resolved.run_spec;
-  spec.trace_recorder = &recorder;
+  if (spec.trace_recorder == nullptr) spec.trace_recorder = &own;
+  const sim::TraceRecorder& recorder = *spec.trace_recorder;
   try {
     const core::RunOutcome out =
         core::run_gathering(*resolved.graph, resolved.placement, spec);

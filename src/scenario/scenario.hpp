@@ -48,8 +48,6 @@ struct ScenarioSpec {
   bool delta_aware = false;          ///< Remark 14: robots know Δ
   int known_min_pair_distance = -1;  ///< Remark 13 hint (-1 = off)
 
-  bool record_trace = false;
-
   /// Hard round cap override (0 = derive from the schedule). Bounded
   /// probes on huge implicit instances set this; it changes what the run
   /// does, so it IS part of the fingerprint.
@@ -128,9 +126,11 @@ class GraphCache;
 [[nodiscard]] core::RunOutcome run_scenario(const ScenarioSpec& spec);
 
 /// Run an already-resolved scenario, optionally recording it to
-/// `trace_path` ("" = no trace). Harnesses that resolve themselves (the
+/// `trace_path` ("" = no file). Harnesses that resolve themselves (the
 /// CLI, SweepRunner) use this so single-run and sweep traces share one
-/// recording path.
+/// recording path. A recorder already set in `resolved.run_spec.
+/// trace_recorder` records the run (and is what gets written) instead
+/// of a private one.
 [[nodiscard]] core::RunOutcome run_resolved(const ResolvedScenario& resolved,
                                             const std::string& trace_path);
 

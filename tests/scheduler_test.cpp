@@ -36,6 +36,7 @@
 #include "scenario/sweep.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/trace.hpp"
 #include "support/assert.hpp"
 #include "support/parallel_for.hpp"
 #include "uxs/uxs.hpp"
@@ -392,7 +393,7 @@ TEST(SemiSynchronous, FairnessBoundsConsecutiveSuppression) {
   // The robot observes LOCAL time (one tick per activation), so
   // suppression is invisible to it; the adversary's gaps show in the
   // GLOBAL rounds of its actions. A robot that moves every activation
-  // leaves one trace event per activation: consecutive global gaps must
+  // leaves one recorded move per activation: consecutive global gaps must
   // never exceed the fairness window, while the local clock it observes
   // must advance by exactly one per activation (the coherent timeline).
   const sim::Round fairness = 4;
@@ -405,7 +406,8 @@ TEST(SemiSynchronous, FairnessBoundsConsecutiveSuppression) {
   };
   sim::EngineConfig cfg;
   cfg.hard_cap = 2000;
-  cfg.record_trace = true;
+  sim::TraceRecorder recorder;
+  cfg.trace_recorder = &recorder;
   cfg.scheduler = std::make_shared<sim::SemiSynchronousScheduler>(5, fairness);
   sim::Engine engine(g, cfg);
   engine.add_robot(std::make_unique<ScriptedRobot>(1, walker), 0);
@@ -418,11 +420,16 @@ TEST(SemiSynchronous, FairnessBoundsConsecutiveSuppression) {
   }
   // Global fairness: the adversary suppressed, but never for a whole
   // fairness window.
-  const auto& trace = engine.trace();
-  ASSERT_GE(trace.size(), 2u);
-  bool suppressed_at_least_once = trace.front().round > 0;
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    const sim::Round gap = trace[i].round - trace[i - 1].round;
+  std::vector<sim::Round> move_rounds;
+  for (const sim::TraceRound& round :
+       sim::decode_trace(recorder.bytes()).rounds) {
+    EXPECT_TRUE(round.carried.empty());  // a lone robot follows no one
+    if (!round.moves.empty()) move_rounds.push_back(round.round);
+  }
+  ASSERT_GE(move_rounds.size(), 2u);
+  bool suppressed_at_least_once = move_rounds.front() > 0;
+  for (std::size_t i = 1; i < move_rounds.size(); ++i) {
+    const sim::Round gap = move_rounds[i] - move_rounds[i - 1];
     EXPECT_LE(gap, fairness) << "gap at activation " << i;
     suppressed_at_least_once |= gap > 1;
   }

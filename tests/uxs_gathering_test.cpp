@@ -2,9 +2,13 @@
 // robots and any initial configuration, in O(T log L) rounds.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/run.hpp"
 #include "graph/generators.hpp"
 #include "graph/placement.hpp"
+#include "sim/trace.hpp"
 #include "support/bitstring.hpp"
 #include "uxs/coverage.hpp"
 #include "uxs/uxs.hpp"
@@ -144,16 +148,24 @@ TEST(UxsGathering, LeaderWalkMatchesCoverageWalker) {
   RunSpec spec;
   spec.algorithm = AlgorithmKind::UxsOnly;
   spec.config = make_config(g, seq);
-  spec.record_trace = true;
+  sim::TraceRecorder recorder;
+  spec.trace_recorder = &recorder;
   const RunOutcome out = run_gathering(g, placement, spec);
   ASSERT_TRUE(out.result.all_terminated);
-  // The first T trace events are phase 0's exploration walk.
+  // The lone robot's moves, in order, as (round, to).
+  std::vector<std::pair<sim::Round, sim::NodeId>> moves;
+  for (const sim::TraceRound& round :
+       sim::decode_trace(recorder.bytes()).rounds) {
+    for (const sim::TraceMove& move : round.moves)
+      moves.emplace_back(round.round, move.to);
+  }
+  // The first T moves are phase 0's exploration walk.
   const sim::Round t = seq->length();
-  ASSERT_GE(out.trace.size(), t);
+  ASSERT_GE(moves.size(), t);
   for (std::uint64_t steps = 1; steps <= t; ++steps) {
-    const auto& event = out.trace[steps - 1];
-    ASSERT_EQ(event.round, steps - 1);
-    EXPECT_EQ(event.to, uxs::walk_endpoint(g, *seq, 4, steps))
+    const auto& [round, to] = moves[steps - 1];
+    ASSERT_EQ(round, steps - 1);
+    EXPECT_EQ(to, uxs::walk_endpoint(g, *seq, 4, steps))
         << "diverged at step " << steps;
   }
 }
