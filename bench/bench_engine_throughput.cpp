@@ -270,6 +270,30 @@ void BM_CrowdedOneNode(benchmark::State& state) {
 }
 BENCHMARK(BM_CrowdedOneNode)->Arg(250)->Arg(1000)->Unit(benchmark::kMillisecond);
 
+void BM_DispersedLadder(benchmark::State& state) {
+  // The opposite regime: Theorem 16's dispersed start (torus n=136,
+  // k=n/2+1) under Faster-Gathering. Most rounds are quiet ladder stages
+  // with a few dozen active robots, so the wake machinery (next-round
+  // bucket, heap, active-set collection) and the arrival splice are the
+  // engine's share. Items are robot moves.
+  scenario::ScenarioSpec spec;
+  spec.family = "torus";
+  spec.n = 136;
+  spec.k = 69;
+  spec.placement = "dispersed";
+  spec.algorithm = "faster";
+  spec.seed = 3;
+  const scenario::ResolvedScenario r = scenario::resolve(spec);
+  std::int64_t moves = 0;
+  for (auto _ : state) {
+    const auto out = core::run_gathering(*r.graph, r.placement, r.run_spec);
+    moves += static_cast<std::int64_t>(out.result.metrics.total_moves);
+    benchmark::DoNotOptimize(out.result.metrics.trace_hash);
+  }
+  state.SetItemsProcessed(moves);
+}
+BENCHMARK(BM_DispersedLadder)->Unit(benchmark::kMillisecond);
+
 /// Console reporter that also collects every run into a BenchJson row.
 class JsonTeeReporter final : public benchmark::ConsoleReporter {
  public:

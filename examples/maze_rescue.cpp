@@ -104,7 +104,8 @@ int main() {
   std::cout << "\nmin pairwise entry distance: "
             << graph::min_pairwise_distance(maze.graph,
                                             graph::start_nodes(placement))
-            << "\nresolved by stage:           hop-" << out.gathered_stage_hop
+            << "\nresolved by stage:           "
+            << core::stage_label(out.gathered_stage_hop)
             << "\nrounds:                      " << out.result.metrics.rounds
             << "\ntotal corridor traversals:   "
             << out.result.metrics.total_moves

@@ -48,7 +48,7 @@ int main() {
             << "gather node:       " << out.result.gather_node << "\n"
             << "rounds:            " << out.result.metrics.rounds << "\n"
             << "total moves:       " << out.result.metrics.total_moves << "\n"
-            << "resolved by stage: hop-" << out.gathered_stage_hop
+            << "resolved by stage: " << core::stage_label(out.gathered_stage_hop)
             << " (0 = undispersed step, i = i-hop step, 6 = UXS catch-all)\n";
   return out.result.detection_correct ? 0 : 1;
 }

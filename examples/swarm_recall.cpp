@@ -51,7 +51,7 @@ int main() {
                    TextTable::num(std::uint64_t{graph::min_pairwise_distance(
                        g, graph::start_nodes(placement))}),
                    TextTable::grouped(out.result.metrics.rounds),
-                   "hop-" + std::to_string(out.gathered_stage_hop),
+                   core::stage_label(out.gathered_stage_hop),
                    out.result.detection_correct ? "yes (terminated together)"
                                                 : "NO"});
   }

@@ -26,6 +26,11 @@ std::string to_string(AlgorithmKind kind) {
   return "?";
 }
 
+std::string stage_label(int gathered_stage_hop) {
+  if (gathered_stage_hop < 0) return "none";
+  return "hop-" + std::to_string(gathered_stage_hop);
+}
+
 RunOutcome run_gathering(const graph::Topology& g,
                          const graph::Placement& placement,
                          const RunSpec& spec) {

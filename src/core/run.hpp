@@ -91,4 +91,8 @@ struct RunOutcome {
 
 [[nodiscard]] std::string to_string(AlgorithmKind kind);
 
+/// Human-readable RunOutcome::gathered_stage_hop: "hop-<h>", or "none"
+/// when no stage resolved the run (-1). CSV and JSON keep the number.
+[[nodiscard]] std::string stage_label(int gathered_stage_hop);
+
 }  // namespace gather::core

@@ -53,6 +53,7 @@ Engine::Engine(const graph::Topology& graph, EngineConfig config)
   nodes_.init(graph.num_nodes(), config_.dense_node_limit);
   sched_ = config_.scheduler.get();
   rec_ = config_.trace_recorder;
+  prof_ = config_.profile;
   suppressing_ = sched_ != nullptr && sched_->fairness_bound() > 0;
 }
 
@@ -120,9 +121,23 @@ std::uint32_t Engine::slot_of(RobotId id) const {
 // gather-lint: hot-path-begin(wake-machinery)
 void Engine::heap_push(Round round, std::uint32_t slot) {
   wake_[slot] = round;
+  // Most wakes are for the next round: a vector push, no heap sift.
+  if (round == soon_round_) {
+    soon_.push_back(slot);
+    if (prof_ != nullptr) ++prof_->bucket_pushes;
+    return;
+  }
   heap_.emplace_back(round, slot);
   std::push_heap(heap_.begin(), heap_.end(),
                  std::greater<std::pair<Round, std::uint32_t>>{});
+  if (prof_ != nullptr) ++prof_->heap_pushes;
+}
+
+void Engine::heap_pop() {
+  std::pop_heap(heap_.begin(), heap_.end(),
+                std::greater<std::pair<Round, std::uint32_t>>{});
+  heap_.pop_back();
+  if (prof_ != nullptr) ++prof_->heap_pops;
 }
 
 bool Engine::heap_pop_next(Round& round) {
@@ -130,9 +145,7 @@ bool Engine::heap_pop_next(Round& round) {
   while (!heap_.empty()) {
     const auto [r, slot] = heap_.front();
     if (terminated_[slot] != 0 || wake_[slot] != r) {
-      std::pop_heap(heap_.begin(), heap_.end(),
-                    std::greater<std::pair<Round, std::uint32_t>>{});
-      heap_.pop_back();
+      heap_pop();
       continue;
     }
     round = r;
@@ -202,12 +215,10 @@ std::size_t Engine::apply_carried(Round r, RunResult& result) {
   for (const std::uint32_t s : carried_) {
     const NodeId from = pos_[s];
     const graph::HalfEdge h = carry_edge_[s];
-    queue_arrival(s, from, h.to);
+    queue_arrival(s, from, h.to, r);
     pos_[s] = h.to;
     entry_port_[s] = h.to_port;
     ++move_count_[s];
-    touched_nodes_.push_back(from);
-    touched_nodes_.push_back(h.to);
     hash_word(m.trace_hash, r);
     hash_word(m.trace_hash, ids_[s]);
     hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | h.to);
@@ -233,7 +244,16 @@ void Engine::occupants_insert(NodeId node, std::uint32_t slot) {
   *link = slot;
 }
 
-void Engine::queue_arrival(std::uint32_t slot, NodeId from, NodeId to) {
+void Engine::queue_arrival(std::uint32_t slot, NodeId from, NodeId to,
+                           Round r) {
+  // The source holds the mover, so it has a record even in sparse mode;
+  // its stamp lists it once however many robots leave it. A self-loop
+  // still touches (and so wakes) its node.
+  NodeRec* src = nodes_.find(from);
+  if (src->touch_stamp != r) {
+    src->touch_stamp = r;
+    touched_nodes_.push_back(from);
+  }
   // A move along a self-loop leaves the robot where its list puts it.
   if (to != from) {
     arrivals_.push_back((static_cast<std::uint64_t>(to) << 32) |
@@ -241,18 +261,19 @@ void Engine::queue_arrival(std::uint32_t slot, NodeId from, NodeId to) {
   }
 }
 
-void Engine::splice_arrivals() {
+void Engine::splice_arrivals(Round r) {
   // Every mover's pos_ already names its destination, so one pass over
-  // each touched node's list unlinks exactly its departed occupants —
+  // each source's list unlinks exactly its departed occupants —
   // O(occupancy) per node, whatever order the movers left in.
-  std::sort(touched_nodes_.begin(), touched_nodes_.end());
-  touched_nodes_.erase(
-      std::unique(touched_nodes_.begin(), touched_nodes_.end()),
-      touched_nodes_.end());
+  // touched_nodes_ holds just the sources here, and a source holds its
+  // movers, so find() cannot miss.
   std::size_t departed = 0;
   for (const NodeId node : touched_nodes_) {
     NodeRec* rec = nodes_.find(node);
-    if (rec == nullptr) continue;  // sparse mode: a destination not yet held
+    // Clear the mark so the destination pass below can list the node
+    // again; a node both left and entered then appears twice, which
+    // only repeats its idempotent occupancy wakeup.
+    rec->touch_stamp = kNoRound;
     for (std::uint32_t* link = &rec->head; *link != kNoSlot;) {
       const std::uint32_t occ = *link;
       if (pos_[occ] == node) {
@@ -264,16 +285,31 @@ void Engine::splice_arrivals() {
     }
     // Sparse mode: hand an emptied record back so resident memory stays
     // O(robots). Safe even though it voids the node's view memo — views
-    // of round r are fully consumed before any round-r move. Every
-    // release happens before the merge below creates a record, so the
-    // table never holds more records than there are robots.
+    // of round r are fully consumed before any round-r move.
     nodes_.release_if_empty(node);
   }
   GATHER_INVARIANT(departed == arrivals_.size());
 
+  // List each destination once. Records are created only now, after
+  // every emptied source was released, so the table never holds more
+  // records than there are robots. The stamp also tells whether some
+  // destination receives a group.
+  bool grouped = false;
+  for (const std::uint64_t key : arrivals_) {
+    const auto node = static_cast<NodeId>(key >> 32);
+    NodeRec& rec = nodes_.ref(node);
+    if (rec.touch_stamp == r) {
+      grouped = true;
+    } else {
+      rec.touch_stamp = r;
+      touched_nodes_.push_back(node);
+    }
+  }
   // Merge each destination's arrivals, sorted by label, into its list in
-  // one walk: a group arriving together costs O(occupancy + group).
-  std::sort(arrivals_.begin(), arrivals_.end());
+  // one walk: a group arriving together costs O(occupancy + group). With
+  // one arrival per destination (the dispersed regime) every run has
+  // length one, so the order does not matter and nothing is sorted.
+  if (grouped) std::sort(arrivals_.begin(), arrivals_.end());
   for (std::size_t i = 0; i < arrivals_.size();) {
     const auto node = static_cast<NodeId>(arrivals_[i] >> 32);
     std::uint32_t* link = &nodes_.ref(node).head;
@@ -333,6 +369,10 @@ RunResult Engine::run() {
   for (std::uint32_t i = 0; i < num_slots; ++i) label_rank_[slots_by_id_[i]] = i;
   nodes_.reserve(num_slots);
   heap_.reserve(4 * num_slots);
+  // A slot enters the next-round bucket at most twice per round (a
+  // suppressed pop, then a carry); add_robot filled it for round 0.
+  soon_.reserve(2 * num_slots);
+  due_.reserve(2 * num_slots);
 
   // Trace preamble: pos_ still holds the start nodes here (no round has
   // run), and the per-slot schedule was sampled in add_robot.
@@ -353,25 +393,70 @@ RunResult Engine::run() {
   const bool suppressing = suppressing_;
   const bool filtered = any_delay || any_crash || suppressing;
 
+  // gather-lint: hot-path-begin(round-loop)
   // A robot counts as alive while it can still act in some future round,
-  // i.e. it neither terminated nor crashes by round r+1.
+  // i.e. it neither terminated nor crashes by round r+1. Without a crash
+  // adversary that is every slot not yet terminated: a counter, no scan.
   const auto count_alive = [&](Round now) {
+    if (!any_crash) return num_slots - terminated_count_;
+    if (prof_ != nullptr) prof_->wake_slot_visits += num_slots;
     std::size_t count = 0;
     for (std::uint32_t s = 0; s < num_slots; ++s) {
-      if (terminated_[s] == 0 && (!any_crash || crash_at_[s] > now + 1))
-        ++count;
+      if (terminated_[s] == 0 && crash_at_[s] > now + 1) ++count;
     }
     return count;
   };
 
-  // gather-lint: hot-path-begin(round-loop)
+  // Admit a slot whose wake is due at round r. The scheduler filters the
+  // candidates: crashed slots are dropped for good, dormant slots defer
+  // to their release round, suppressed slots defer one round (pure
+  // predicates — see sim/scheduler.hpp — so skip and naive stepping
+  // agree). All three gates are off (false) for the synchronous model
+  // and cost nothing. A slot due twice is admitted once (active_stamp_).
+  const auto admit = [&](std::uint32_t slot) {
+    if (filtered) {
+      if (any_crash && r >= crash_at_[slot]) return;  // crashed for good
+      if (any_delay && r < release_[slot]) {
+        heap_push(release_[slot], slot);  // dormant: woken by arrivals
+        return;
+      }
+      if (suppressing) {
+        // Conservative wake, re-check on activation: catch the local
+        // clock up over the skipped stretch; if a sleep deadline is
+        // pending and local time still lags it (suppressed rounds did
+        // not tick), push the wake out by the remaining deficit.
+        sync_local(slot, r);
+        if (sleep_target_[slot] != kNoRound &&
+            local_[slot] < sleep_target_[slot]) {
+          heap_push(support::sat_add(r, sleep_target_[slot] - local_[slot]),
+                    slot);
+          return;
+        }
+        if (!sched_->activates(r, slot, ids_[slot])) {
+          // Suppressed: deferred one round. Round r did not tick the
+          // clock, so the next catch-up starts after it.
+          synced_to_[slot] = r + 1;
+          heap_push(r + 1, slot);
+          return;
+        }
+        sleep_target_[slot] = kNoRound;  // promise consumed; re-deciding
+      }
+    }
+    if (active_stamp_[slot] != r) {
+      active_stamp_[slot] = r;
+      active_.push_back(slot);
+    }
+  };
+
   while (alive > 0) {
     if (config_.naive_stepping) {
       r = first_round ? 0 : r + 1;
     } else {
-      Round next = 0;
-      if (!heap_pop_next(next)) {
-        // With a crash adversary the heap can legitimately run dry: the
+      // The next round is the bucket's if it holds anyone (every heap
+      // deadline is at or past it), else the heap's earliest.
+      Round next = soon_round_;
+      if (soon_.empty() && !heap_pop_next(next)) {
+        // With a crash adversary the wakes can legitimately run dry: the
         // remaining un-terminated robots all crashed (their entries were
         // dropped below), so nobody will ever act again.
         if (any_crash) break;
@@ -387,13 +472,9 @@ RunResult Engine::run() {
     }
 
     // ---- collect this round's active robots -----------------------------
-    // The scheduler filters the candidates: crashed slots are dropped for
-    // good, dormant slots defer to their release round, suppressed slots
-    // defer one round (pure predicates — see sim/scheduler.hpp — so skip
-    // and naive stepping agree). All three gates are off (false) for the
-    // synchronous model and cost nothing.
     active_.clear();
     if (config_.naive_stepping) {
+      if (prof_ != nullptr) prof_->wake_slot_visits += num_slots;
       for (std::uint32_t s = 0; s < num_slots; ++s) {
         if (terminated_[s] != 0) continue;
         if (filtered) {
@@ -404,53 +485,25 @@ RunResult Engine::run() {
         active_.push_back(s);
       }
     } else {
-      // Drain every heap entry scheduled at round r (dedupe via stamp),
-      // then collect the stamped slots with one ordered scan — cheaper
-      // than sorting and independent of how the heap interleaved them.
-      bool any = false;
-      for (;;) {
-        Round next = 0;
-        if (!heap_pop_next(next) || next != r) break;
+      // Take the bucket (due now unless emptied) and every live heap
+      // entry due at r, then sort the small admitted set into slot
+      // order — the order naive stepping's scan produces. Wakes pushed
+      // from here on are for r+1 or later, so the new bucket is r+1's.
+      due_.swap(soon_);
+      soon_round_ = r + 1;
+      std::size_t visited = due_.size();
+      for (const std::uint32_t slot : due_) {
+        // Stale when a duplicate was already deferred this round.
+        if (terminated_[slot] == 0 && wake_[slot] == r) admit(slot);
+      }
+      due_.clear();
+      for (Round next = 0; heap_pop_next(next) && next == r; ++visited) {
         const std::uint32_t slot = heap_.front().second;
-        std::pop_heap(heap_.begin(), heap_.end(),
-                      std::greater<std::pair<Round, std::uint32_t>>{});
-        heap_.pop_back();
-        if (filtered) {
-          if (any_crash && r >= crash_at_[slot]) continue;  // crashed for good
-          if (any_delay && r < release_[slot]) {
-            heap_push(release_[slot], slot);  // dormant: woken by arrivals
-            continue;
-          }
-          if (suppressing) {
-            // Conservative wake, re-check on activation: catch the local
-            // clock up over the skipped stretch; if a sleep deadline is
-            // pending and local time still lags it (suppressed rounds
-            // did not tick), push the wake out by the remaining deficit.
-            sync_local(slot, r);
-            if (sleep_target_[slot] != kNoRound &&
-                local_[slot] < sleep_target_[slot]) {
-              heap_push(support::sat_add(r, sleep_target_[slot] - local_[slot]),
-                        slot);
-              continue;
-            }
-            if (!sched_->activates(r, slot, ids_[slot])) {
-              // Suppressed: deferred one round. Round r did not tick the
-              // clock, so the next catch-up starts after it.
-              synced_to_[slot] = r + 1;
-              heap_push(r + 1, slot);
-              continue;
-            }
-            sleep_target_[slot] = kNoRound;  // promise consumed; re-deciding
-          }
-        }
-        active_stamp_[slot] = r;
-        any = true;
+        heap_pop();
+        admit(slot);
       }
-      if (any) {
-        for (std::uint32_t s = 0; s < num_slots; ++s) {
-          if (active_stamp_[s] == r) active_.push_back(s);
-        }
-      }
+      std::sort(active_.begin(), active_.end());
+      if (prof_ != nullptr) prof_->wake_slot_visits += visited;
     }
     if (active_.empty()) {
       // Only an adversary can empty a round (everyone dormant, suppressed,
@@ -478,12 +531,12 @@ RunResult Engine::run() {
     m.rounds = r;
     ++m.simulated_rounds;
     alive = count_alive(r);
+    if (prof_ != nullptr) ++prof_->simulated_rounds;
     if ((movers > 0 || m.simulated_rounds == 1) &&
         m.first_gathered == kNoRound && all_colocated()) {
       m.first_gathered = r;
     }
     if (config_.stop_when_gathered && m.first_gathered != kNoRound) break;
-    (void)movers;
   }
   // gather-lint: hot-path-end(round-loop)
 
@@ -730,13 +783,11 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         GATHER_PROTOCOL(action.port < degree_at(pos_[s]));
         const NodeId from = pos_[s];
         const graph::HalfEdge h = traverse_at(from, action.port);
-        queue_arrival(s, from, h.to);
+        queue_arrival(s, from, h.to, r);
         pos_[s] = h.to;
         entry_port_[s] = h.to_port;
         ++move_count_[s];
         ++movers;
-        touched_nodes_.push_back(from);
-        touched_nodes_.push_back(h.to);
         hash_word(m.trace_hash, r);
         hash_word(m.trace_hash, ids_[s]);
         hash_word(m.trace_hash, (static_cast<std::uint64_t>(from) << 32) | h.to);
@@ -784,6 +835,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
       }
       case ActionKind::Terminate: {
         terminated_[s] = 1;
+        ++terminated_count_;
         robots_[s]->mark_terminated();
         if (m.first_termination == kNoRound) m.first_termination = r;
         m.last_termination = r;
@@ -800,7 +852,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   }
 
   if (suppressing) movers += apply_carried(r, result);
-  splice_arrivals();
+  splice_arrivals(r);
 
   // A robot announcing termination claims gathering is complete; record
   // any announcement made while the full robot set (dormant and crashed
@@ -812,7 +864,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   }
 
   // ---- occupancy-change wakeups ------------------------------------------
-  // (splice_arrivals left touched_nodes_ sorted and deduplicated.)
+  // (splice_arrivals left every touched node in touched_nodes_.)
   if (!config_.naive_stepping) {
     for (const NodeId node : touched_nodes_) {
       const NodeRec* rec = nodes_.find(node);

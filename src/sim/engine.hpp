@@ -58,17 +58,27 @@
 // through a sorted slot array (binary search — no hash map anywhere).
 // Node occupancy is an intrusive singly-linked list (per-node head + a
 // per-slot next link, kept sorted by label). Moves are spliced in one
-// batch per round: each touched node's list is filtered once, then the
-// round's arrivals, sorted by (node, label), are merged into their
-// destinations — so a group arriving together costs linear, not
-// quadratic, time. The per-round communication views live in one
-// contiguous arena stamped by round, each with its message-bit sum, so
-// a robot's received bits are the sum minus its own entry. After run()
-// sizes the scratch buffers, the view,
-// occupancy, decision, and active-set machinery never allocates in the
-// round loop; the one amortized exception is the wake heap, which grows
-// past its reserve only when stale entries pile up faster than they are
-// popped.
+// batch per round: each source node's list is filtered once, then each
+// arrival is inserted into its destination's list. When some node
+// receives a group, the arrivals are first sorted by (node, label) and
+// merged in one walk per node, so the group costs linear, not
+// quadratic, time; otherwise nothing is sorted. The per-round
+// communication views live in one contiguous arena stamped by round,
+// each with its message-bit sum, so a robot's received bits are the sum
+// minus its own entry.
+//
+// Wakes are split by deadline. A wake for the next round (every mover,
+// every occupancy wakeup, Stay{r+1}, suppressed and carried slots) goes
+// to a plain next-round bucket; only later deadlines enter the lazy
+// min-heap. A skip-mode round drains the bucket and the heap entries
+// due now, sorts the small admitted set into slot order, and keeps the
+// alive count incrementally, so it costs O(active · log active) rather
+// than a pass over every slot. After run() sizes the scratch buffers,
+// the view, occupancy, decision, wake, and active-set machinery never
+// allocates in the round loop; the one amortized exception is the heap,
+// which grows past its reserve only when stale later-deadline entries
+// (a sleeper woken early by an occupancy change) pile up faster than
+// they are popped.
 //
 // Layer contract (umbrella for src/sim/): the execution model and the
 // robot/oracle boundary. The engine holds the whole-graph view; robots
@@ -92,6 +102,22 @@ namespace gather::sim {
 
 class TraceRecorder;  // sim/trace.hpp — opt-in binary trace sink
 
+/// Deterministic wake-phase work counters (EngineConfig::profile). Every
+/// field is a pure function of the run, identical on any machine, so
+/// tests can pin complexity bounds on them. run() adds to the fields;
+/// they never enter fingerprints, CSV, or traces.
+struct EngineProfile {
+  std::uint64_t heap_pushes = 0;    ///< wakes scheduled past the next round
+  std::uint64_t bucket_pushes = 0;  ///< wakes scheduled for the next round
+  std::uint64_t heap_pops = 0;      ///< heap entries removed, stale ones included
+  /// Slot entries examined to collect the active sets and count the
+  /// alive robots: bucket and due heap entries in skip mode, every slot
+  /// per round in naive mode, every slot per alive recount under a
+  /// crash adversary.
+  std::uint64_t wake_slot_visits = 0;
+  std::uint64_t simulated_rounds = 0;
+};
+
 struct EngineConfig {
   /// Hard upper bound on the round counter; exceeding it ends the run
   /// with hit_round_cap set (callers treat that as failure).
@@ -107,6 +133,10 @@ struct EngineConfig {
   /// branch per round and per move/termination — nothing else (pinned
   /// against BENCH_engine.json by bench/bench_engine_throughput.cpp).
   TraceRecorder* trace_recorder = nullptr;
+  /// Opt-in wake-phase work counters, non-owning; must outlive run().
+  /// Null (the default) costs one predicted-false branch per heap
+  /// operation and per round.
+  EngineProfile* profile = nullptr;
   /// Scheduling adversary (see sim/scheduler.hpp). Null is the paper's
   /// synchronous model, bit-identical to SynchronousScheduler.
   std::shared_ptr<const Scheduler> scheduler;
@@ -175,6 +205,7 @@ class Engine {
   // a synchronous run pays nothing for the adversary machinery.
   const Scheduler* sched_ = nullptr;  ///< non-owning view of config_.scheduler
   TraceRecorder* rec_ = nullptr;      ///< non-owning copy of the trace sink
+  EngineProfile* prof_ = nullptr;     ///< non-owning copy of the profile sink
   bool any_delay_ = false;
   bool any_crash_ = false;
   bool suppressing_ = false;
@@ -188,6 +219,7 @@ class Engine {
   std::vector<Round> active_stamp_;  ///< dedupe marker for the active set
   std::vector<std::uint64_t> move_count_;
   std::vector<std::uint8_t> terminated_;
+  std::size_t terminated_count_ = 0;  ///< slots with terminated_ set
   std::vector<Round> release_;   ///< scheduler: per-slot start round
   std::vector<Round> crash_at_;  ///< scheduler: per-slot crash round
 
@@ -212,8 +244,16 @@ class Engine {
   NodeTable nodes_;
   std::vector<std::uint32_t> occ_next_;  ///< per slot: next slot or kNoSlot
 
-  /// Lazy min-heap of (wake_round, slot); entries may be stale.
+  /// Lazy min-heap of (wake_round, slot) for deadlines past the next
+  /// round; entries may be stale.
   std::vector<std::pair<Round, std::uint32_t>> heap_;
+  /// Next-round bucket: slots whose wake is soon_round_, in push order.
+  /// A slot may appear twice (suppressed, then carried); admission
+  /// deduplicates through active_stamp_.
+  std::vector<std::uint32_t> soon_;
+  Round soon_round_ = 0;
+  /// The bucket of the round being collected (swapped with soon_).
+  std::vector<std::uint32_t> due_;
   bool ran_ = false;
 
   // ---- per-round scratch, sized once in run() ---------------------------
@@ -287,15 +327,22 @@ class Engine {
   void collect_carried(Round r);
   std::size_t apply_carried(Round r, RunResult& result);
 
+  /// Schedule slot's wake: the bucket if round is soon_round_, else the heap.
   void heap_push(Round round, std::uint32_t slot);
+  /// Drop stale heap entries; the earliest live deadline, if any.
   [[nodiscard]] bool heap_pop_next(Round& round);
+  /// Remove the heap's top entry.
+  void heap_pop();
 
   void occupants_insert(NodeId node, std::uint32_t slot);
-  /// Record a move for splice_arrivals (pos_ is updated by the caller).
-  void queue_arrival(std::uint32_t slot, NodeId from, NodeId to);
+  /// Record a round-r move for splice_arrivals (pos_ is updated by the
+  /// caller) and list its source node in touched_nodes_ once.
+  void queue_arrival(std::uint32_t slot, NodeId from, NodeId to, Round r);
   /// After all of a round's moves: unlink the movers from their sources
-  /// and merge them into their destinations' label-sorted lists.
-  void splice_arrivals();
+  /// and insert them into their destinations' label-sorted lists. Leaves
+  /// every touched node in touched_nodes_ (a node both left and entered
+  /// may appear twice).
+  void splice_arrivals(Round r);
 
   /// Label lookup; kNoSlot when no robot has this label.
   [[nodiscard]] std::uint32_t find_slot(RobotId id) const;

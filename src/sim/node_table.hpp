@@ -1,14 +1,14 @@
 // Per-node engine bookkeeping that scales with ROBOTS, not nodes.
 //
-// The engine keeps three words per occupied node: the head of the
+// The engine keeps four words per occupied node: the head of the
 // intrusive occupant list, the index of the round-stamped view memo,
-// and the round that memo is valid for. Historically these were three
-// dense arrays sized num_nodes — O(n) memory that forbids implicit
-// n >= 10^6 instances. NodeTable keeps the dense layout for small
-// graphs (it is the fastest possible lookup) and switches to an
-// open-addressing hash table above `dense_limit`, where only nodes
-// currently hosting robots have records: O(k) resident memory on a
-// graph of any size.
+// the round that memo is valid for, and the round the move splice last
+// listed the node. Historically the first three were dense arrays sized
+// num_nodes — O(n) memory that forbids implicit n >= 10^6 instances.
+// NodeTable keeps the dense layout for small graphs (it is the fastest
+// possible lookup) and switches to an open-addressing hash table above
+// `dense_limit`, where only nodes currently hosting robots have records:
+// O(k) resident memory on a graph of any size.
 //
 // Determinism: the table is NEVER iterated — every access is a keyed
 // lookup driven by the (deterministic) simulation itself — so the
@@ -37,12 +37,17 @@ struct NodeRec {
   std::uint32_t head = static_cast<std::uint32_t>(-1);  ///< first slot/kNoSlot
   std::uint32_t view = 0;      ///< index into the engine's view table
   Round view_stamp = kNoRound; ///< round the memoized view is valid for
+  /// Move-splice scratch: the round this node was last listed as touched
+  /// (as a source until the departures are unlinked, then as a
+  /// destination), so each is listed once without sorting.
+  Round touch_stamp = kNoRound;
 };
 
 class NodeTable {
  public:
-  /// Dense/sparse crossover: dense costs 16 bytes per node, so 2^18
-  /// nodes (4 MiB) is where the hash table starts winning footprints.
+  /// Dense/sparse crossover: dense costs 24 bytes per node, so the dense
+  /// table stays within 6 MiB; above 2^18 nodes only occupied nodes
+  /// have records.
   static constexpr std::size_t kDefaultDenseLimit = std::size_t{1} << 18;
 
   void init(std::size_t num_nodes, std::size_t dense_limit) {

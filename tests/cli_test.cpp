@@ -1,6 +1,9 @@
-// CLI parser tests.
+// CLI parser tests, plus the outcome display the gather_cli front end
+// prints.
 #include <gtest/gtest.h>
 
+#include "core/run.hpp"
+#include "scenario/scenario.hpp"
 #include "support/cli.hpp"
 
 namespace gather::support {
@@ -101,6 +104,26 @@ TEST(Cli, UsageListsOptions) {
   EXPECT_NE(usage.find("--n"), std::string::npos);
   EXPECT_NE(usage.find("--verbose"), std::string::npos);
   EXPECT_NE(usage.find("node count"), std::string::npos);
+}
+
+TEST(Cli, CappedRunDisplaysNoResolvingStage) {
+  // The run behind `gather_cli --graph=torus --n=36 --k=19
+  // --placement=dispersed --hard-cap=1`: the cap ends it before any
+  // stage resolves it, so the "resolved by stage:" line reads "none"
+  // (it printed "hop--1"). The CSV column and ABI JSON keep -1.
+  scenario::ScenarioSpec spec;
+  spec.family = "torus";
+  spec.n = 36;
+  spec.k = 19;
+  spec.placement = "dispersed";
+  spec.hard_cap = 1;
+  const core::RunOutcome out =
+      scenario::run_resolved(scenario::resolve(spec), spec.trace_path);
+  EXPECT_TRUE(out.result.hit_round_cap);
+  EXPECT_EQ(out.gathered_stage_hop, -1);
+  EXPECT_EQ(core::stage_label(out.gathered_stage_hop), "none");
+  EXPECT_EQ(core::stage_label(0), "hop-0");
+  EXPECT_EQ(core::stage_label(6), "hop-6");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // and — critically — skip-mode vs naive-mode equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <type_traits>
@@ -532,6 +533,230 @@ TEST(EngineCrowded, OneNodeRunsMatchPinsUnderEveryStrategy) {
       // Under suppression robots terminate at their own activations, so
       // simultaneous termination (detection) is a synchronous-only claim.
       EXPECT_EQ(out.result.detection_correct, pin.fairness == 0) << label;
+    }
+  }
+}
+
+// ---- wake machinery: complexity pin and bucket/heap boundaries -----------
+
+TEST(EngineProfile, SkipModeWakeCollectionIsLinearInActiveRobots) {
+  // 255 robots sleep on one far deadline while a single walker paces
+  // between two nodes the sleepers never see. Skip mode must examine
+  // O(active) wake entries per simulated round (about one here), not
+  // all 256 slots, which naive stepping visits every round.
+  constexpr RobotId kSleepers = 255;
+  constexpr std::uint64_t kSlots = kSleepers + 1;
+  constexpr Round kWalk = 1000;
+  constexpr Round kDeadline = 5000;
+  const graph::Graph g = graph::make_ring(64);
+  auto sleeper = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= kDeadline) return Action::terminate();
+    return Action::stay_until_round(kDeadline);
+  };
+  auto walker = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= kWalk) return Action::terminate();
+    return Action::move(view.entry_port == kNoPort ? 0 : view.entry_port);
+  };
+  EngineProfile profiles[2];
+  RunResult results[2];
+  for (int mode = 0; mode < 2; ++mode) {
+    EngineConfig cfg = config_with_cap(2 * kDeadline);
+    cfg.naive_stepping = mode == 1;
+    cfg.profile = &profiles[mode];
+    Engine engine(g, cfg);
+    for (RobotId id = 1; id <= kSleepers; ++id) {
+      engine.add_robot(std::make_unique<ScriptedRobot>(id, sleeper), 0);
+    }
+    engine.add_robot(std::make_unique<ScriptedRobot>(kSlots, walker), 32);
+    results[mode] = engine.run();
+    ASSERT_TRUE(results[mode].all_terminated) << "mode " << mode;
+  }
+  EXPECT_EQ(results[0].metrics.trace_hash, results[1].metrics.trace_hash);
+  const RunMetrics& m = results[0].metrics;
+  const EngineProfile& skip = profiles[0];
+  // Round 0, the walk's rounds 1..kWalk, and the deadline.
+  EXPECT_EQ(m.simulated_rounds, kWalk + 2);
+  EXPECT_EQ(skip.simulated_rounds, m.simulated_rounds);
+  // Every examined entry is a robot that decides: nothing is scanned.
+  EXPECT_EQ(skip.wake_slot_visits, m.decision_calls);
+  EXPECT_LT(skip.wake_slot_visits, 2 * skip.simulated_rounds);
+  // The walker's wakes (and round 0's releases) ride the bucket; only the
+  // sleepers' far deadline touches the heap, and no entry goes stale.
+  EXPECT_EQ(skip.bucket_pushes, kSlots + kWalk);
+  EXPECT_EQ(skip.heap_pushes, kSleepers);
+  EXPECT_EQ(skip.heap_pops, kSleepers);
+  // Naive stepping scans every slot every round.
+  EXPECT_EQ(profiles[1].wake_slot_visits,
+            kSlots * results[1].metrics.simulated_rounds);
+  EXPECT_EQ(profiles[1].heap_pushes + profiles[1].heap_pops, 0u);
+}
+
+TEST(EngineOccupancy, ViewsStaySortedByLabelThroughEverySplicePath) {
+  // RoundView::colocated is sorted by id. The splice keeps each node's
+  // list in label order whether a round's arrivals are merged unsorted
+  // (no node receives two) or sorted first (some node receives a group),
+  // and whether they moved or were carried. Labels are added
+  // out of order so slot order and label order differ.
+  const graph::Graph g = graph::make_random_connected(24, 36, 5);
+  constexpr RobotId kLabels[] = {5, 12, 2, 9, 1, 7, 11, 3, 8, 4, 10, 6};
+  for (const bool suppress : {false, true}) {
+    for (const std::size_t dense_limit : {g.num_nodes(), std::size_t{0}}) {
+      for (const bool naive : {false, true}) {
+        bool sorted = true;
+        std::uint64_t shared_views = 0;
+        const ScriptedRobot::Script inner = phased_script(400);
+        const auto checked = [&](ScriptedRobot& self, const RoundView& view) {
+          sorted = sorted && std::is_sorted(view.colocated.begin(),
+                                            view.colocated.end(),
+                                            [](const RobotPublicState& a,
+                                               const RobotPublicState& b) {
+                                              return a.id < b.id;
+                                            });
+          if (view.colocated.size() > 1) ++shared_views;
+          return inner(self, view);
+        };
+        EngineConfig cfg = config_with_cap(20000);
+        cfg.naive_stepping = naive;
+        cfg.dense_node_limit = dense_limit;
+        if (suppress) {
+          cfg.scheduler = std::make_shared<SemiSynchronousScheduler>(3, 3);
+        }
+        Engine engine(g, cfg);
+        for (std::size_t i = 0; i < std::size(kLabels); ++i) {
+          engine.add_robot(std::make_unique<ScriptedRobot>(kLabels[i], checked),
+                           static_cast<NodeId>((i * 5) % g.num_nodes()));
+        }
+        (void)engine.run();
+        const std::string label = "suppress=" + std::to_string(suppress) +
+                                  " dense_limit=" + std::to_string(dense_limit) +
+                                  " naive=" + std::to_string(naive);
+        EXPECT_TRUE(sorted) << label;
+        EXPECT_GT(shared_views, 0u) << label;
+      }
+    }
+  }
+}
+
+/// One scripted scenario for the bucket/heap boundary suite: robots
+/// (label = index + 1) with their start nodes on an 8-ring, plus the
+/// per-slot release and crash rounds its adversarial-delay and
+/// crash-fault runs plant.
+struct WakeBoundaryCase {
+  const char* name;
+  std::vector<std::pair<ScriptedRobot::Script, NodeId>> robots;
+  std::vector<Round> delays;
+  std::vector<Round> crashes;
+};
+
+/// Keeps going around the ring (a degree-2 node's other port) until
+/// local round `until`, then terminates.
+ScriptedRobot::Script ring_walker(Round until) {
+  return [until](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= until) return Action::terminate();
+    return Action::move(view.entry_port == kNoPort ? 0 : 1 - view.entry_port);
+  };
+}
+
+std::vector<WakeBoundaryCase> wake_boundary_cases() {
+  std::vector<WakeBoundaryCase> cases;
+  // Stay{r+1}: the Stay path's own next-round wake lands in the bucket,
+  // interleaved with moves that do the same.
+  auto stepper = [](ScriptedRobot& self, const RoundView& view) {
+    if (view.round >= 40) return Action::terminate();
+    if ((view.round + self.id()) % 3 != 0) return Action::stay_one(view.round);
+    return Action::move(view.entry_port == kNoPort ? 0 : 1 - view.entry_port);
+  };
+  cases.push_back({"stay-next-round",
+                   {{stepper, 0}, {stepper, 2}, {stepper, 5}},
+                   {0, 1, 3},
+                   {kNoRound, 4, kNoRound}});
+  // Occupancy wake of a slot whose deadline is in the heap: the heap
+  // entry goes stale, and the sleeper re-deciding the same absolute
+  // deadline revives it next to a fresh duplicate.
+  auto sleeper = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= 45) return Action::terminate();
+    return Action::stay_until_round(45);
+  };
+  cases.push_back({"occupancy-wake-over-heap-deadline",
+                   {{sleeper, 4}, {ring_walker(30), 0}, {sleeper, 6}},
+                   {2, 0, 5},
+                   {kNoRound, kNoRound, 11}});
+  // Suppressed and carried in one round: the follower's due entry is
+  // deferred to r+1 and its leader's take-followers move pushes r+1
+  // again, so the bucket holds it twice.
+  auto leader = ring_walker(35);
+  auto follower = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= 60) return Action::terminate();
+    for (const RobotPublicState& s : view.colocated) {
+      if (s.id == 1 && s.tag != StateTag::Terminated) return Action::follow(1);
+    }
+    return Action::stay_one(view.round);
+  };
+  cases.push_back({"suppressed-and-carried",
+                   {{leader, 3}, {follower, 3}, {follower, 3}},
+                   {0, 0, 1},
+                   {kNoRound, kNoRound, 9}});
+  // Release at r+1: one robot starts the round after round 0, another
+  // the round after a walker arrives on its node, when the occupancy
+  // wake and the release deadline coincide.
+  cases.push_back({"release-next-round",
+                   {{ring_walker(30), 0}, {sleeper, 1}, {sleeper, 3}},
+                   {0, 1, 3},
+                   {kNoRound, kNoRound, kNoRound}});
+  // Crash at r+1: a walker crashes the round after a move queued it in
+  // the bucket, and a sleeper crashes the round after an arrival would
+  // have woken it.
+  cases.push_back({"crash-next-round",
+                   {{ring_walker(30), 0}, {sleeper, 3}, {ring_walker(30), 6}},
+                   {0, 2, 0},
+                   {kNoRound, 3, 3}});
+  return cases;
+}
+
+TEST(EngineWake, BucketHeapBoundariesAgreeSkipAndNaiveUnderEveryAdversary) {
+  const graph::Graph g = graph::make_ring(8);
+  for (const WakeBoundaryCase& c : wake_boundary_cases()) {
+    const std::vector<std::pair<std::string, std::shared_ptr<const Scheduler>>>
+        adversaries = {
+            {"synchronous", std::make_shared<SynchronousScheduler>()},
+            {"adversarial-delay",
+             std::make_shared<AdversarialDelayScheduler>(c.delays)},
+            {"semi-synchronous",
+             std::make_shared<SemiSynchronousScheduler>(7, 3)},
+            {"crash-fault", std::make_shared<CrashFaultScheduler>(c.crashes)},
+        };
+    for (const auto& [name, adversary] : adversaries) {
+      const std::string label = std::string(c.name) + " under " + name;
+      RunResult results[2];
+      std::vector<NodeId> positions[2];
+      for (int mode = 0; mode < 2; ++mode) {
+        EngineConfig cfg = config_with_cap(400);
+        cfg.naive_stepping = mode == 1;
+        cfg.scheduler = adversary;
+        Engine engine(g, cfg);
+        for (std::size_t i = 0; i < c.robots.size(); ++i) {
+          engine.add_robot(std::make_unique<ScriptedRobot>(
+                               static_cast<RobotId>(i + 1), c.robots[i].first),
+                           c.robots[i].second);
+        }
+        ASSERT_NO_THROW(results[mode] = engine.run()) << label;
+        for (std::size_t i = 0; i < c.robots.size(); ++i) {
+          positions[mode].push_back(
+              engine.position_of(static_cast<RobotId>(i + 1)));
+        }
+      }
+      const RunResult& skip = results[0];
+      const RunResult& naive = results[1];
+      EXPECT_EQ(skip.metrics.trace_hash, naive.metrics.trace_hash) << label;
+      EXPECT_EQ(skip.metrics.rounds, naive.metrics.rounds) << label;
+      EXPECT_EQ(skip.metrics.moves_per_robot, naive.metrics.moves_per_robot)
+          << label;
+      EXPECT_EQ(skip.metrics.first_gathered, naive.metrics.first_gathered)
+          << label;
+      EXPECT_EQ(positions[0], positions[1]) << label;
+      EXPECT_EQ(skip.all_terminated, naive.all_terminated) << label;
+      EXPECT_EQ(skip.hit_round_cap, naive.hit_round_cap) << label;
+      EXPECT_EQ(skip.false_announcement, naive.false_announcement) << label;
     }
   }
 }

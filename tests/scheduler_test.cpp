@@ -372,6 +372,19 @@ TEST(SchedulerEquivalence, SkipAndNaiveAgreeUnderEveryAdversary) {
            std::make_shared<sim::CrashFaultScheduler>(
                std::vector<sim::Round>{sim::kNoRound, 40, sim::kNoRound,
                                        sim::kNoRound, 12})},
+          // The engine's next-round bucket boundary: releases and crashes
+          // one round after round 0 (and after the first moves), and a
+          // fairness bound that suppresses — and so defers to the
+          // bucket — as often as the policy allows.
+          {"adversarial-delay, releases at r+1",
+           std::make_shared<sim::AdversarialDelayScheduler>(
+               std::vector<sim::Round>{1, 0, 1, 2, 1})},
+          {"semi-synchronous, fairness 2",
+           std::make_shared<sim::SemiSynchronousScheduler>(5, 2)},
+          {"crash-fault, crashes at r+1",
+           std::make_shared<sim::CrashFaultScheduler>(
+               std::vector<sim::Round>{1, sim::kNoRound, 2, 3,
+                                       sim::kNoRound})},
       };
   for (const auto& [name, adversary] : adversaries) {
     const ScriptedRun skip = run_scripted(g, 5, 131, adversary, false);
