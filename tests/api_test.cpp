@@ -163,6 +163,28 @@ TEST(CAbiTest, SweepCsvMatchesSweepRunnerBytes) {
       "k=3\n";
   EXPECT_EQ(abi_sweep_csv(grid + "threads=1\n"), reference.str());
   EXPECT_EQ(abi_sweep_csv(grid + "threads=4\n"), reference.str());
+
+  // The CLI ≡ ABI referee: tests/cli_parity.cmake drives gather_cli
+  // --sweep with every sweep flag and these base-point flags into the
+  // same golden CSV. trace_dir is left out (traces never change a row).
+  const std::string every_key =
+      "family=star\nn=20\nk=5\nfamily_params=\n"
+      "families=ring,torus,grid\nsizes=9,12\nk_rules=n/4+1,3\n"
+      "placement=dispersed\nplacements=pair\nplacement_params=distance=2\n"
+      "algorithm=undispersed\nalgorithms=faster,uxs\n"
+      "labeling=equal-length\nsequence=covering\n"
+      "scheduler=crash-fault\nschedulers=semi-synchronous\n"
+      "scheduler_params=fairness=3\n"
+      "known_min_pair_distance=2\ndelta_aware=true\n"
+      "seed=5\nseeds=1,18446744073709551\n"
+      "hard_cap=5000000\ndecide_threads=2\ntrace_path=ignored.trace\n"
+      "threads=2\nsteal_chunk=1\nuse_result_cache=true\n";
+  std::ifstream golden(std::string(GATHER_TEST_DATA_DIR) +
+                       "/cli_sweep_parity.csv");
+  ASSERT_TRUE(golden) << "missing tests/data/cli_sweep_parity.csv";
+  std::ostringstream golden_csv;
+  golden_csv << golden.rdbuf();
+  EXPECT_EQ(abi_sweep_csv(every_key), golden_csv.str());
 }
 
 TEST(CAbiTest, RepeatedRunsHitTheServiceResultCache) {
