@@ -1,5 +1,6 @@
 #include "api/spec_text.hpp"
 
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -54,11 +55,27 @@ bool parse_bool_value(const Line& line) {
                       line.value + "' (want 0/1/true/false)");
 }
 
+[[noreturn]] void out_of_range(const Line& line) {
+  throw ScenarioError("value out of range for spec key '" + line.key +
+                      "': '" + line.value + "'");
+}
+
+/// An unsigned value that must fit the destination field's type — a
+/// wrapped id_exponent_b or thread count would run silently wrong.
+template <typename T>
+T parse_uint_as(const Line& line) {
+  const std::uint64_t value = parse_uint_value(line);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    out_of_range(line);
+  }
+  return static_cast<T>(value);
+}
+
+/// A signed int whose magnitude fits `int`, so negating it is defined.
 int parse_int_value(const Line& line) {
   const bool negative = !line.value.empty() && line.value[0] == '-';
-  const Line digits{line.key,
-                    negative ? line.value.substr(1) : line.value};
-  const int magnitude = static_cast<int>(parse_uint_value(digits));
+  const int magnitude = parse_uint_as<int>(
+      Line{line.key, negative ? line.value.substr(1) : line.value});
   return negative ? -magnitude : magnitude;
 }
 
@@ -93,11 +110,11 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
   } else if (line.key == "scheduler_params") {
     spec.scheduler_params = Params::parse(line.value);
   } else if (line.key == "n") {
-    spec.n = parse_uint_value(line);
+    spec.n = parse_uint_as<std::size_t>(line);
   } else if (line.key == "k") {
-    spec.k = parse_uint_value(line);
+    spec.k = parse_uint_as<std::size_t>(line);
   } else if (line.key == "id_exponent_b") {
-    spec.id_exponent_b = static_cast<unsigned>(parse_uint_value(line));
+    spec.id_exponent_b = parse_uint_as<unsigned>(line);
   } else if (line.key == "seed") {
     spec.seed = parse_uint_value(line);
   } else if (line.key == "delta_aware") {
@@ -105,9 +122,9 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
   } else if (line.key == "known_min_pair_distance") {
     spec.known_min_pair_distance = parse_int_value(line);
   } else if (line.key == "hard_cap") {
-    spec.hard_cap = parse_uint_value(line);
+    spec.hard_cap = parse_uint_as<sim::Round>(line);
   } else if (line.key == "decide_threads") {
-    spec.decide_threads = static_cast<unsigned>(parse_uint_value(line));
+    spec.decide_threads = parse_uint_as<unsigned>(line);
   } else if (line.key == "trace_path") {
     spec.trace_path = line.value;
   } else {
@@ -139,7 +156,7 @@ scenario::SweepSpec parse_sweep_spec(const std::string& text) {
     } else if (line.key == "sizes") {
       sweep.sizes.clear();
       for (const std::string& item : split_list(line.value)) {
-        sweep.sizes.push_back(parse_uint_value(Line{line.key, item}));
+        sweep.sizes.push_back(parse_uint_as<std::size_t>(Line{line.key, item}));
       }
     } else if (line.key == "k_rules") {
       sweep.k_rules.clear();
@@ -158,9 +175,9 @@ scenario::SweepSpec parse_sweep_spec(const std::string& text) {
         sweep.seeds.push_back(parse_uint_value(Line{line.key, item}));
       }
     } else if (line.key == "threads") {
-      sweep.threads = static_cast<unsigned>(parse_uint_value(line));
+      sweep.threads = parse_uint_as<unsigned>(line);
     } else if (line.key == "steal_chunk") {
-      sweep.steal_chunk = parse_uint_value(line);
+      sweep.steal_chunk = parse_uint_as<std::size_t>(line);
     } else if (line.key == "use_result_cache") {
       sweep.use_result_cache = parse_bool_value(line);
     } else if (line.key == "trace_dir") {

@@ -263,6 +263,23 @@ TEST(CAbiTest, BadSpecTextIsUsage) {
             GATHER_STATUS_USAGE);
   EXPECT_EQ(gather_sweep_csv(service.ptr, "sizes=twelve\n", &json),
             GATHER_STATUS_USAGE);
+  // Integers outside the field's type are rejected, never wrapped: the
+  // magnitude of a signed key must fit int (so negation is defined), and
+  // unsigned fields narrower than 64 bits must hold the value.
+  for (const char* line : {"known_min_pair_distance=-2147483648\n",
+                           "known_min_pair_distance=4294967298\n",
+                           "id_exponent_b=4294967298\n"}) {
+    EXPECT_EQ(gather_run_json(service.ptr, line, &json), GATHER_STATUS_USAGE)
+        << line;
+    EXPECT_NE(std::string(gather_last_error()).find("out of range"),
+              std::string::npos)
+        << gather_last_error();
+  }
+  EXPECT_EQ(gather_sweep_csv(service.ptr, "threads=4294967297\n", &json),
+            GATHER_STATUS_USAGE);
+  EXPECT_NE(std::string(gather_last_error()).find("out of range"),
+            std::string::npos)
+      << gather_last_error();
 }
 
 TEST(CAbiTest, ProtocolViolationRowIsViolation) {
