@@ -19,7 +19,9 @@
 // The CLI is a thin harness over gather::Service (src/api/) — the same
 // context object the C ABI in include/libgather.h wraps — so its
 // caches, resolution, and sweep execution are exactly what an embedder
-// gets.
+// gets. Its specs come from the same place too: the flags are translated
+// into the ABI's spec text (kSpecFlags below) and parsed by
+// api::parse_run_spec / api::parse_sweep_spec.
 //
 // Exit codes (the 0..3 subset of gather_status in include/libgather.h):
 //   0  success: detection certified, sweep completed, traces identical
@@ -33,7 +35,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 
 #include "api/service.hpp"
 #include "api/spec_text.hpp"
@@ -47,32 +48,6 @@
 namespace {
 
 using namespace gather;
-
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::size_t parse_uint_strict(const std::string& item, const char* what) {
-  const std::optional<std::uint64_t> value = scenario::parse_uint(item);
-  if (!value) {
-    throw support::CliError(std::string("bad ") + what + " '" + item + "'");
-  }
-  return *value;
-}
-
-std::vector<std::size_t> split_sizes(const std::string& text) {
-  std::vector<std::size_t> out;
-  for (const std::string& item : split_list(text)) {
-    out.push_back(parse_uint_strict(item, "size"));
-  }
-  return out;
-}
 
 template <typename Factory>
 void print_registry(std::ostream& os, const std::string& title,
@@ -197,35 +172,77 @@ void print_list_md(std::ostream& os) {
         "sweep.\n";
 }
 
-scenario::ScenarioSpec base_spec(const support::CliParser& cli) {
-  scenario::ScenarioSpec spec;
-  spec.family = cli.get("graph");
-  spec.family_params = scenario::Params::parse(cli.get("params"));
+// ---- flags -> spec text ---------------------------------------------------
+//
+// The CLI builds no spec itself: each spec-bearing flag the user provided
+// becomes one `key=value` line of the spec-text language
+// (api/spec_text.hpp), and parse_run_spec / parse_sweep_spec — the parser
+// behind gather_run_json / gather_sweep_csv — do all list and integer
+// parsing, range checks and the sweep policy. So the CLI and the C ABI
+// cannot disagree (pinned by tests/cli_parity.cmake). Boolean flags emit
+// `key=true`; sweep-only keys are usage errors without --sweep.
+struct SpecFlag {
+  const char* flag;
+  const char* key;
+};
+
+constexpr SpecFlag kSpecFlags[] = {
+    {"graph", "family"},
+    {"params", "family_params"},
+    {"n", "n"},
+    {"k", "k"},
+    {"placement", "placement"},
+    {"placement-params", "placement_params"},
+    {"labeling", "labeling"},
+    {"algorithm", "algorithm"},
+    {"uxs", "sequence"},
+    {"scheduler", "scheduler"},
+    {"scheduler-params", "scheduler_params"},
+    {"delta-aware", "delta_aware"},
+    {"known-distance", "known_min_pair_distance"},
+    {"seed", "seed"},
+    {"hard-cap", "hard_cap"},
+    {"decide-threads", "decide_threads"},
+    {"record", "trace_path"},
+    {"families", "families"},
+    {"sizes", "sizes"},
+    {"k-rules", "k_rules"},
+    {"placements", "placements"},
+    {"algorithms", "algorithms"},
+    {"schedulers", "schedulers"},
+    {"seeds", "seeds"},
+    {"threads", "threads"},
+    {"steal-chunk", "steal_chunk"},
+    {"cache", "use_result_cache"},
+    {"trace-dir", "trace_dir"},
+};
+
+std::string spec_text(const support::CliParser& cli) {
+  std::string text;
+  for (const SpecFlag& f : kSpecFlags) {
+    if (!cli.provided(f.flag)) continue;
+    const std::string value = cli.get(f.flag);
+    // One flag is one line: a line break would smuggle in a second key.
+    if (value.find_first_of("\r\n") != std::string::npos) {
+      throw support::CliError(std::string("--") + f.flag +
+                              " value contains a line break");
+    }
+    text += std::string(f.key) + "=" + value + "\n";
+  }
+  return text;
+}
+
+// The two shorthands set one param after parsing, bypassing the Params
+// text form: a file path may contain ',' and '='.
+void apply_shorthands(const support::CliParser& cli,
+                      scenario::ScenarioSpec& spec) {
   if (cli.provided("graph-file")) {
     spec.family = "file";
     spec.family_params.set("path", cli.get("graph-file"));
   }
-  spec.n = cli.get_uint("n");
-  spec.k = cli.get_uint("k");
-  spec.placement = cli.get("placement");
-  spec.placement_params = scenario::Params::parse(cli.get("placement-params"));
   if (cli.provided("pair-distance")) {
     spec.placement_params.set("distance", cli.get("pair-distance"));
   }
-  spec.labeling = cli.get("labeling");
-  spec.algorithm = cli.get("algorithm");
-  spec.sequence = cli.get("uxs");
-  spec.scheduler = cli.get("scheduler");
-  spec.scheduler_params = scenario::Params::parse(cli.get("scheduler-params"));
-  spec.delta_aware = cli.get_flag("delta-aware");
-  if (cli.provided("known-distance")) {
-    spec.known_min_pair_distance = static_cast<int>(cli.get_int("known-distance"));
-  }
-  spec.seed = cli.get_uint("seed");
-  spec.hard_cap = cli.get_uint("hard-cap");
-  spec.decide_threads = static_cast<unsigned>(cli.get_uint("decide-threads"));
-  spec.trace_path = cli.get("record");
-  return spec;
 }
 
 // ---- binary trace surfaces (--replay / --diff) ---------------------------
@@ -281,24 +298,8 @@ int run_diff(const support::CliParser& cli) {
 }
 
 int run_sweep(const support::CliParser& cli, Service& service) {
-  scenario::SweepSpec sweep;
-  sweep.base = base_spec(cli);
-  sweep.families = split_list(cli.get("families"));
-  sweep.sizes = split_sizes(cli.get("sizes"));
-  sweep.placements = split_list(cli.get("placements"));
-  sweep.algorithms = split_list(cli.get("algorithms"));
-  sweep.schedulers = split_list(cli.get("schedulers"));
-  for (const std::string& rule : split_list(cli.get("k-rules"))) {
-    sweep.k_rules.push_back(scenario::parse_k_rule(rule));
-  }
-  for (const std::string& seed : split_list(cli.get("seeds"))) {
-    sweep.seeds.push_back(parse_uint_strict(seed, "seed"));
-  }
-  sweep.threads = static_cast<unsigned>(cli.get_uint("threads"));
-  sweep.steal_chunk = cli.get_uint("steal-chunk");
-  sweep.use_result_cache = cli.get_flag("cache");
-  sweep.trace_dir = cli.get("trace-dir");
-  api::apply_sweep_policy(sweep);
+  scenario::SweepSpec sweep = api::parse_sweep_spec(spec_text(cli));
+  apply_shorthands(cli, sweep.base);
 
   scenario::SweepStats stats;
   const std::vector<scenario::SweepRow> rows = service.sweep(sweep, &stats);
@@ -342,7 +343,8 @@ int run_sweep(const support::CliParser& cli, Service& service) {
 }
 
 int run_single(const support::CliParser& cli, Service& service) {
-  const scenario::ScenarioSpec spec = base_spec(cli);
+  scenario::ScenarioSpec spec = api::parse_run_spec(spec_text(cli));
+  apply_shorthands(cli, spec);
   scenario::ResolvedScenario resolved = service.resolve(spec);
   // --timeline analyses the binary trace; it shares the recorder with
   // --record, so one run both writes the file and feeds the table.
@@ -438,30 +440,38 @@ int run_single(const support::CliParser& cli, Service& service) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Defaults are read off a default-constructed spec, the one place
+  // they live; only flags the user provides reach the spec text anyway.
+  const scenario::SweepSpec defaults;
+  const scenario::ScenarioSpec& base = defaults.base;
   support::CliParser cli;
-  cli.add_option("graph", "ring", "graph family (see --list)");
+  cli.add_option("graph", base.family, "graph family (see --list)");
   cli.add_option("graph-file", "", "read an edge-list file instead");
   cli.add_option("params", "", "family params, e.g. rows=4,cols=5");
-  cli.add_option("n", "12", "requested node count (realized n is reported)");
-  cli.add_option("k", "4", "number of robots");
-  cli.add_option("algorithm", "faster", "algorithm (see --list)");
-  cli.add_option("placement", "adversarial", "placement strategy (see --list)");
+  cli.add_option("n", std::to_string(base.n),
+                 "requested node count (realized n is reported)");
+  cli.add_option("k", std::to_string(base.k), "number of robots");
+  cli.add_option("algorithm", base.algorithm, "algorithm (see --list)");
+  cli.add_option("placement", base.placement,
+                 "placement strategy (see --list)");
   cli.add_option("placement-params", "", "placement params, e.g. distance=3");
-  cli.add_option("pair-distance", "2",
+  cli.add_option("pair-distance", "",
                  "shorthand for --placement-params=distance=<d>");
-  cli.add_option("labeling", "random", "labeling strategy (see --list)");
-  cli.add_option("uxs", "covering", "sequence policy (see --list)");
-  cli.add_option("scheduler", "synchronous",
+  cli.add_option("labeling", base.labeling, "labeling strategy (see --list)");
+  cli.add_option("uxs", base.sequence, "sequence policy (see --list)");
+  cli.add_option("scheduler", base.scheduler,
                  "scheduling adversary (see --list)");
   cli.add_option("scheduler-params", "",
                  "scheduler params, e.g. max-delay=32");
-  cli.add_option("known-distance", "-1", "Remark 13 hint (-1 = off)");
+  cli.add_option("known-distance",
+                 std::to_string(base.known_min_pair_distance),
+                 "Remark 13 hint (-1 = off)");
   cli.add_flag("delta-aware", "Remark 14: robots know the max degree");
-  cli.add_option("seed", "42", "deterministic seed");
-  cli.add_option("hard-cap", "0",
+  cli.add_option("seed", std::to_string(base.seed), "deterministic seed");
+  cli.add_option("hard-cap", std::to_string(base.hard_cap),
                  "override the round cap (0 = derived; huge implicit "
                  "instances need a bounded probe)");
-  cli.add_option("decide-threads", "0",
+  cli.add_option("decide-threads", std::to_string(base.decide_threads),
                  "parallelize the decide phase (0/1 = serial; results "
                  "are byte-identical at any value)");
   cli.add_option("record", "", "record the run as a binary trace file");
@@ -485,8 +495,9 @@ int main(int argc, char** argv) {
   cli.add_option("seeds", "", "sweep axis: comma-separated seeds");
   cli.add_option("format", "csv", "sweep output: csv|json");
   cli.add_option("out", "", "sweep output file (default stdout)");
-  cli.add_option("threads", "0", "sweep worker threads (0 = auto)");
-  cli.add_option("steal-chunk", "0",
+  cli.add_option("threads", std::to_string(defaults.threads),
+                 "sweep worker threads (0 = auto)");
+  cli.add_option("steal-chunk", std::to_string(defaults.steal_chunk),
                  "sweep executor: indices per steal chunk (0 = auto)");
   cli.add_flag("cache",
                "sweep mode: memoize completed rows by spec fingerprint "

@@ -1,7 +1,8 @@
 # CLI ≡ ABI referee: drive gather_cli with every spec-bearing flag and
-# byte-compare its output against goldens in tests/data/. The sweep CSV
-# golden is also what tests/api_test.cpp expects from gather_sweep_csv
-# for the same grid, so the CLI and the C ABI are pinned to one answer.
+# byte-compare its output against goldens in tests/data/, then check the
+# spec-text rules the CLI shares with the C ABI. The sweep CSV golden is
+# also what tests/api_test.cpp expects from gather_sweep_csv for the
+# same grid, so the CLI and the C ABI are pinned to one answer.
 #
 #   cmake -DCLI=<gather_cli> -DDATA=<tests/data> -DWORK=<scratch dir>
 #         -P tests/cli_parity.cmake
@@ -25,11 +26,11 @@ function(run_cli expected_rc stdout_file)
   endif()
 endfunction()
 
-function(expect_same golden actual)
+function(expect_same expected actual)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-    "${DATA}/${golden}" "${WORK}/${actual}" RESULT_VARIABLE differ)
+    "${expected}" "${WORK}/${actual}" RESULT_VARIABLE differ)
   if(differ)
-    message(FATAL_ERROR "${WORK}/${actual} differs from ${DATA}/${golden}")
+    message(FATAL_ERROR "${WORK}/${actual} differs from ${expected}")
   endif()
 endfunction()
 
@@ -50,7 +51,7 @@ run_cli(0 sweep.stdout --sweep
   --hard-cap=5000000 --decide-threads=2 --record=ignored.trace
   --threads=2 --steal-chunk=1 --cache --cache-stats
   --trace-dir=traces --format=csv --out=sweep.csv)
-expect_same(cli_sweep_parity.csv sweep.csv)
+expect_same(${DATA}/cli_sweep_parity.csv sweep.csv)
 
 # Every single-run flag. --graph-file overrides --graph and the path in
 # --params; --pair-distance overrides the distance in --placement-params.
@@ -64,6 +65,20 @@ run_cli(0 run.stdout
   --known-distance=2 --delta-aware --seed=7
   --hard-cap=5000000 --decide-threads=2
   --record=run.trace --timeline --dot=run.dot --save-graph=run.graph)
-expect_same(cli_run_every_flag.txt run.stdout)
+expect_same(${DATA}/cli_run_every_flag.txt run.stdout)
+
+# Spec-text rules the CLI inherits from the parser: list items are
+# trimmed, seeds span the full uint64 range, and out-of-range integers
+# or a line break in a value (which would smuggle in a second key) are
+# usage errors (exit 2).
+run_cli(0 plain.stdout --sweep --families=ring,torus --sizes=9,12 --k=3
+  --seeds=1 --out=plain.csv)
+run_cli(0 spaced.stdout --sweep "--families=ring, torus" "--sizes= 9, 12"
+  --k=3 --seeds=1 --out=spaced.csv)
+expect_same(${WORK}/plain.csv spaced.csv)
+run_cli(0 seed.stdout --seed=18446744073709551615)
+run_cli(2 range.stdout --known-distance=4294967298)
+run_cli(2 newline.stdout "--labeling=random\nseed=1")
+run_cli(2 carriage.stdout "--params=\rn=5")
 
 file(REMOVE_RECURSE "${WORK}")
