@@ -106,7 +106,8 @@ void BM_SweepSkewedImbalance(benchmark::State& state) {
   sweep.steal_chunk = 1;
   std::size_t rows_per_run = 0;
   for (auto _ : state) {
-    const auto rows = scenario::SweepRunner::run(sweep);
+    scenario::Caches caches;  // cold per iteration: graph builds are timed
+    const auto rows = scenario::SweepRunner::run(sweep, caches);
     rows_per_run = rows.size();
     benchmark::DoNotOptimize(rows.size());
   }

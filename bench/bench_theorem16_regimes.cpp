@@ -50,8 +50,9 @@ void run(const std::string& json_path) {
   sweep.filter = [](const scenario::ScenarioSpec& s) {
     return s.k >= 2 && s.k <= s.n;
   };
+  scenario::Caches caches;
   const std::vector<scenario::SweepRow> rows =
-      scenario::SweepRunner::run(sweep);
+      scenario::SweepRunner::run(sweep, caches);
 
   TextTable table({"family", "regime", "n", "k", "min dist", "rounds",
                    "achieved stage", "fit input", "detection"});

@@ -5,9 +5,9 @@
 // process-wide instance: whoever wants cross-call warmth (a
 // `gather::Service`, a bench harness, a test) constructs a `Caches` and
 // passes it down, so two services in one process have fully independent
-// cache lifetimes and `clear()` semantics. Call sites that pass nothing
-// get fresh builds (single resolutions) or a sweep-local bundle
-// (`SweepRunner::run` compatibility overload) — never shared globals.
+// cache lifetimes and `clear()` semantics. A single resolution that is
+// passed nothing builds fresh; a sweep always runs against the caller's
+// bundle — never shared globals.
 #pragma once
 
 #include <cstddef>

@@ -165,14 +165,6 @@ std::vector<SweepPoint> SweepRunner::enumerate(const SweepSpec& sweep) {
   return points;
 }
 
-std::vector<SweepRow> SweepRunner::run(const SweepSpec& sweep,
-                                       SweepStats* stats) {
-  // Compatibility path: no context, so a per-call Caches — graphs still
-  // dedupe within this one sweep, nothing persists across calls.
-  Caches caches;
-  return run(sweep, caches, stats);
-}
-
 std::vector<SweepRow> SweepRunner::run(const SweepSpec& sweep, Caches& caches,
                                        SweepStats* stats) {
   const std::vector<SweepPoint> points = enumerate(sweep);

@@ -164,12 +164,6 @@ class SweepRunner {
                                                  Caches& caches,
                                                  SweepStats* stats = nullptr);
 
-  /// Deprecated compatibility path for callers that own no context: runs
-  /// against a per-call Caches, so graphs still dedupe WITHIN the sweep
-  /// but nothing persists across calls. Prefer the Caches overload.
-  [[nodiscard]] static std::vector<SweepRow> run(const SweepSpec& spec,
-                                                 SweepStats* stats = nullptr);
-
   /// Deterministic per-point trace file name used with
   /// SweepSpec::trace_dir ('/' in k-rule names is sanitized to '-').
   [[nodiscard]] static std::string trace_filename(const SweepPoint& point);

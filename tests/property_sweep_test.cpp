@@ -40,7 +40,9 @@ TEST_P(FasterSweep, AlwaysGathersWithSoundDetection) {
   sweep.k_rules = {scenario::k_fraction(3, 1), scenario::k_fraction(2, 1)};
   sweep.seeds = {seed};
 
-  std::vector<scenario::SweepRow> rows = scenario::SweepRunner::run(sweep);
+  scenario::Caches caches;
+  std::vector<scenario::SweepRow> rows =
+      scenario::SweepRunner::run(sweep, caches);
   const std::size_t grid_rows =
       (scenario::graph_families().list().size() - 1) * 4 * 2 * 2;
 
@@ -51,7 +53,7 @@ TEST_P(FasterSweep, AlwaysGathersWithSoundDetection) {
   dense.sizes = {12};
   dense.base.family_params.set("m", "40");
   std::vector<scenario::SweepRow> dense_rows =
-      scenario::SweepRunner::run(dense);
+      scenario::SweepRunner::run(dense, caches);
   EXPECT_EQ(dense_rows.size(), 4u * 2u);
   rows.insert(rows.end(), std::make_move_iterator(dense_rows.begin()),
               std::make_move_iterator(dense_rows.end()));

@@ -224,19 +224,20 @@ TEST(Sweep, EnumerationIsOrderedAndFiltered) {
 TEST(Sweep, ByteIdenticalAcrossRunsAndThreadCounts) {
   SweepSpec sweep = small_sweep();
   sweep.threads = 4;
+  Caches caches;
   std::ostringstream first, second, serial, json_a, json_b;
-  SweepRunner::write_csv(first, SweepRunner::run(sweep));
-  SweepRunner::write_csv(second, SweepRunner::run(sweep));
+  SweepRunner::write_csv(first, SweepRunner::run(sweep, caches));
+  SweepRunner::write_csv(second, SweepRunner::run(sweep, caches));
   sweep.threads = 1;
-  SweepRunner::write_csv(serial, SweepRunner::run(sweep));
+  SweepRunner::write_csv(serial, SweepRunner::run(sweep, caches));
   EXPECT_EQ(first.str(), second.str());
   EXPECT_EQ(first.str(), serial.str());
   EXPECT_NE(first.str().find("family,"), std::string::npos);
 
   sweep.threads = 4;
-  SweepRunner::write_json(json_a, SweepRunner::run(sweep));
+  SweepRunner::write_json(json_a, SweepRunner::run(sweep, caches));
   sweep.threads = 2;
-  SweepRunner::write_json(json_b, SweepRunner::run(sweep));
+  SweepRunner::write_json(json_b, SweepRunner::run(sweep, caches));
   EXPECT_EQ(json_a.str(), json_b.str());
 }
 
@@ -249,19 +250,20 @@ TEST(Sweep, SkipInfeasibleDropsPointsButNeverTypos) {
   sweep.families = {"ring", "hypercube"};
   sweep.sizes = {10};
   sweep.k_rules = {parse_k_rule("n")};
-  EXPECT_THROW((void)SweepRunner::run(sweep), ScenarioError);
+  Caches caches;
+  EXPECT_THROW((void)SweepRunner::run(sweep, caches), ScenarioError);
   sweep.skip_infeasible = true;
-  const std::vector<SweepRow> rows = SweepRunner::run(sweep);
+  const std::vector<SweepRow> rows = SweepRunner::run(sweep, caches);
   ASSERT_EQ(rows.size(), 1u);  // the hypercube point was dropped
   EXPECT_EQ(rows[0].spec.family, "ring");
   // Typos still throw, even with skip_infeasible: keys are validated
   // before any factory runs.
   sweep.families = {"ring", "rng"};
-  EXPECT_THROW((void)SweepRunner::run(sweep), ScenarioError);
+  EXPECT_THROW((void)SweepRunner::run(sweep, caches), ScenarioError);
   // An all-infeasible sweep reports the first error instead of
   // returning silently empty results.
   sweep.families = {"hypercube"};
-  EXPECT_THROW((void)SweepRunner::run(sweep), ScenarioError);
+  EXPECT_THROW((void)SweepRunner::run(sweep, caches), ScenarioError);
 }
 
 TEST(Sweep, RowsCarryResolvedInstanceFacts) {
@@ -271,7 +273,8 @@ TEST(Sweep, RowsCarryResolvedInstanceFacts) {
   sweep.base.k = 4;
   sweep.base.placement = "dispersed";
   sweep.base.sequence = "covering";
-  const std::vector<SweepRow> rows = SweepRunner::run(sweep);
+  Caches caches;
+  const std::vector<SweepRow> rows = SweepRunner::run(sweep, caches);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].realized_n, 16u);
   EXPECT_GE(rows[0].min_pair_distance, 1u);

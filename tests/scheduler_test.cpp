@@ -561,8 +561,9 @@ TEST(SemiSynchronous, PaperAlgorithmsGatherAcrossAllFamilies) {
   EXPECT_EQ(sweep.families.size(), 19u);  // 16 materialized + 3 implicit
   sweep.algorithms = scenario::algorithms().list();
   sweep.skip_infeasible = true;  // hypercube realizes n=8 etc.
+  scenario::Caches caches;
   const std::vector<scenario::SweepRow> rows =
-      scenario::SweepRunner::run(sweep);
+      scenario::SweepRunner::run(sweep, caches);
   ASSERT_GE(rows.size(), 3 * 15u);
   for (const scenario::SweepRow& row : rows) {
     const std::string name = row.spec.family + "/" + row.spec.algorithm;
@@ -1139,8 +1140,9 @@ TEST(SchedulerSweep, GridsOverAdversariesDeterministically) {
   sweep.schedulers = scenario::schedulers().list();
   sweep.tolerate_protocol_violations = true;
   sweep.threads = 4;
+  scenario::Caches caches;
   const std::vector<scenario::SweepRow> rows =
-      scenario::SweepRunner::run(sweep);
+      scenario::SweepRunner::run(sweep, caches);
   ASSERT_EQ(rows.size(), scenario::schedulers().list().size());
   bool saw_synchronous_success = false;
   for (const scenario::SweepRow& row : rows) {
@@ -1155,7 +1157,8 @@ TEST(SchedulerSweep, GridsOverAdversariesDeterministically) {
   std::ostringstream a, b;
   scenario::SweepRunner::write_csv(a, rows);
   sweep.threads = 1;
-  scenario::SweepRunner::write_csv(b, scenario::SweepRunner::run(sweep));
+  scenario::SweepRunner::write_csv(b,
+                                   scenario::SweepRunner::run(sweep, caches));
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("scheduler,"), std::string::npos);
   EXPECT_NE(a.str().find("crash-fault"), std::string::npos);

@@ -261,7 +261,9 @@ std::string csv_of(const std::vector<SweepRow>& rows) {
 TEST(SweepDeterminismStress, ByteIdenticalAcrossThreadsStealAndCache) {
   SweepSpec reference_spec = stress_grid();
   reference_spec.threads = 1;
-  const std::vector<SweepRow> reference = SweepRunner::run(reference_spec);
+  Caches reference_caches;
+  const std::vector<SweepRow> reference =
+      SweepRunner::run(reference_spec, reference_caches);
   ASSERT_FALSE(reference.empty());
   const std::string want_csv = csv_of(reference);
   for (const unsigned threads : {1u, 2u, 3u, 8u, 97u}) {
@@ -270,7 +272,8 @@ TEST(SweepDeterminismStress, ByteIdenticalAcrossThreadsStealAndCache) {
       sweep.threads = threads;
       sweep.steal_chunk = 1;  // maximal stealing
       sweep.use_result_cache = cache;
-      const std::vector<SweepRow> rows = SweepRunner::run(sweep);
+      Caches caches;  // cold per configuration
+      const std::vector<SweepRow> rows = SweepRunner::run(sweep, caches);
       EXPECT_EQ(csv_of(rows), want_csv)
           << "threads=" << threads << " cache=" << cache;
       ASSERT_EQ(rows.size(), reference.size());
