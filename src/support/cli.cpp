@@ -55,24 +55,6 @@ std::string CliParser::get(const std::string& name) const {
   return find(name).value;
 }
 
-std::int64_t CliParser::get_int(const std::string& name) const {
-  const std::string& v = find(name).value;
-  try {
-    std::size_t pos = 0;
-    const std::int64_t out = std::stoll(v, &pos);
-    if (pos != v.size()) throw CliError("");
-    return out;
-  } catch (...) {
-    throw CliError("option --" + name + " expects an integer, got '" + v + "'");
-  }
-}
-
-std::uint64_t CliParser::get_uint(const std::string& name) const {
-  const std::int64_t v = get_int(name);
-  if (v < 0) throw CliError("option --" + name + " must be non-negative");
-  return static_cast<std::uint64_t>(v);
-}
-
 bool CliParser::get_flag(const std::string& name) const {
   return find(name).value == "true";
 }

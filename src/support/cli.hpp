@@ -1,8 +1,9 @@
 // Minimal command-line option parser for the example tools.
 //
-// Supports --key=value, --key value, and boolean --flag forms, with typed
-// accessors and a generated usage string. No external dependencies; just
-// enough for gather_cli and the experiment binaries' optional knobs.
+// Supports --key=value, --key value, and boolean --flag forms, with a
+// generated usage string. Values stay strings: gather_cli hands them to
+// the spec-text parser, which owns integer parsing. No external
+// dependencies; just enough for the example tools.
 //
 // Layer contract (src/support/): pure utilities with no knowledge of the
 // paper's model — assertions, RNG, bitstrings, math, stats, tables, CSV,
@@ -10,7 +11,6 @@
 // every other layer may depend on it. See docs/ARCHITECTURE.md §1.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -35,8 +35,6 @@ class CliParser {
   void parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
-  [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// True if the user supplied the option explicitly.
