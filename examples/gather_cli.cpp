@@ -19,9 +19,8 @@
 // The CLI is a thin harness over gather::Service (src/api/) — the same
 // context object the C ABI in include/libgather.h wraps — so its
 // caches, resolution, and sweep execution are exactly what an embedder
-// gets. Its specs come from the same place too: the flags are translated
-// into the ABI's spec text (kSpecFlags below) and parsed by
-// api::parse_run_spec / api::parse_sweep_spec.
+// gets — and so are its specs: the flags are translated into the ABI's
+// spec text (kSpecFlags below).
 //
 // Exit codes (the 0..3 subset of gather_status in include/libgather.h):
 //   0  success: detection certified, sweep completed, traces identical
@@ -35,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <utility>
 
 #include "api/service.hpp"
 #include "api/spec_text.hpp"
@@ -174,60 +174,40 @@ void print_list_md(std::ostream& os) {
 
 // ---- flags -> spec text ---------------------------------------------------
 //
-// The CLI builds no spec itself: each spec-bearing flag the user provided
-// becomes one `key=value` line of the spec-text language
-// (api/spec_text.hpp), and parse_run_spec / parse_sweep_spec — the parser
-// behind gather_run_json / gather_sweep_csv — do all list and integer
-// parsing, range checks and the sweep policy. So the CLI and the C ABI
-// cannot disagree (pinned by tests/cli_parity.cmake). Boolean flags emit
-// `key=true`; sweep-only keys are usage errors without --sweep.
-struct SpecFlag {
-  const char* flag;
-  const char* key;
-};
-
-constexpr SpecFlag kSpecFlags[] = {
-    {"graph", "family"},
-    {"params", "family_params"},
-    {"n", "n"},
-    {"k", "k"},
-    {"placement", "placement"},
-    {"placement-params", "placement_params"},
-    {"labeling", "labeling"},
-    {"algorithm", "algorithm"},
-    {"uxs", "sequence"},
-    {"scheduler", "scheduler"},
-    {"scheduler-params", "scheduler_params"},
-    {"delta-aware", "delta_aware"},
-    {"known-distance", "known_min_pair_distance"},
-    {"seed", "seed"},
-    {"hard-cap", "hard_cap"},
-    {"decide-threads", "decide_threads"},
+// The CLI builds no spec itself: each provided spec-bearing flag becomes
+// one `key=value` line of the C ABI's spec text (api/spec_text.hpp), so
+// list and integer parsing, range checks and the sweep policy all happen
+// in parse_run_spec / parse_sweep_spec (pinned by tests/cli_parity.cmake).
+// Boolean flags emit `key=true`; sweep keys are usage errors without
+// --sweep.
+constexpr std::pair<const char*, const char*> kSpecFlags[] = {
+    {"graph", "family"}, {"params", "family_params"}, {"n", "n"}, {"k", "k"},
+    {"placement", "placement"}, {"placement-params", "placement_params"},
+    {"labeling", "labeling"}, {"algorithm", "algorithm"},
+    {"uxs", "sequence"}, {"scheduler", "scheduler"},
+    {"scheduler-params", "scheduler_params"}, {"delta-aware", "delta_aware"},
+    {"known-distance", "known_min_pair_distance"}, {"seed", "seed"},
+    {"hard-cap", "hard_cap"}, {"decide-threads", "decide_threads"},
     {"record", "trace_path"},
-    {"families", "families"},
-    {"sizes", "sizes"},
-    {"k-rules", "k_rules"},
-    {"placements", "placements"},
-    {"algorithms", "algorithms"},
-    {"schedulers", "schedulers"},
-    {"seeds", "seeds"},
-    {"threads", "threads"},
-    {"steal-chunk", "steal_chunk"},
-    {"cache", "use_result_cache"},
+    // sweep-only keys
+    {"families", "families"}, {"sizes", "sizes"}, {"k-rules", "k_rules"},
+    {"placements", "placements"}, {"algorithms", "algorithms"},
+    {"schedulers", "schedulers"}, {"seeds", "seeds"}, {"threads", "threads"},
+    {"steal-chunk", "steal_chunk"}, {"cache", "use_result_cache"},
     {"trace-dir", "trace_dir"},
 };
 
 std::string spec_text(const support::CliParser& cli) {
   std::string text;
-  for (const SpecFlag& f : kSpecFlags) {
-    if (!cli.provided(f.flag)) continue;
-    const std::string value = cli.get(f.flag);
+  for (const auto& [flag, key] : kSpecFlags) {
+    if (!cli.provided(flag)) continue;
+    const std::string value = cli.get(flag);
     // One flag is one line: a line break would smuggle in a second key.
     if (value.find_first_of("\r\n") != std::string::npos) {
-      throw support::CliError(std::string("--") + f.flag +
+      throw support::CliError(std::string("--") + flag +
                               " value contains a line break");
     }
-    text += std::string(f.key) + "=" + value + "\n";
+    text += std::string(key) + "=" + value + "\n";
   }
   return text;
 }
@@ -440,8 +420,7 @@ int run_single(const support::CliParser& cli, Service& service) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Defaults are read off a default-constructed spec, the one place
-  // they live; only flags the user provides reach the spec text anyway.
+  // Defaults live in the spec types; these only document them.
   const scenario::SweepSpec defaults;
   const scenario::ScenarioSpec& base = defaults.base;
   support::CliParser cli;

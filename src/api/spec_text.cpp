@@ -55,18 +55,13 @@ bool parse_bool_value(const Line& line) {
                       line.value + "' (want 0/1/true/false)");
 }
 
-[[noreturn]] void out_of_range(const Line& line) {
-  throw ScenarioError("value out of range for spec key '" + line.key +
-                      "': '" + line.value + "'");
-}
-
-/// An unsigned value that must fit the destination field's type — a
-/// wrapped id_exponent_b or thread count would run silently wrong.
+/// An unsigned value that must fit the field's type T — never wrapped.
 template <typename T>
 T parse_uint_as(const Line& line) {
   const std::uint64_t value = parse_uint_value(line);
   if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
-    out_of_range(line);
+    throw ScenarioError("value out of range for spec key '" + line.key +
+                        "': '" + line.value + "'");
   }
   return static_cast<T>(value);
 }
