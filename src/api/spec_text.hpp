@@ -5,15 +5,18 @@
 // fields ("family=torus", "n=16", "families=ring,torus"); '#' starts a
 // comment line, blank lines are skipped. The value is everything after
 // the FIRST '=', so param bags keep their CLI spelling
-// ("family_params=rows=4,cols=5"). Unknown keys and malformed values throw
-// ScenarioError with the offending line, which the ABI translates to
-// GATHER_STATUS_USAGE — a C caller's typo is a usage error, never UB.
+// ("family_params=rows=4,cols=5"). Unknown keys, malformed values and
+// integers outside the field's type throw ScenarioError with the
+// offending line, which the ABI translates to GATHER_STATUS_USAGE — a C
+// caller's typo is a usage error, never UB.
 //
-// parse_sweep_spec and `gather_cli --sweep` both apply one harness
-// policy, apply_sweep_policy (k in [2, n] pre-filter, skip_infeasible,
-// tolerated protocol violations), so the CSV bytes out of
-// gather_sweep_csv are identical to the CLI's for the same grid —
-// pinned by tests/api_test.cpp.
+// This is also gather_cli's spec language: the CLI translates its flags
+// into these lines and calls the same parsers, and parse_sweep_spec
+// applies the one harness policy, apply_sweep_policy (k in [2, n]
+// pre-filter, skip_infeasible, tolerated protocol violations). So the
+// CSV bytes out of gather_sweep_csv are identical to `gather_cli
+// --sweep`'s for the same grid — pinned against one golden by the
+// cli_parity ctest (tests/cli_parity.cmake) and tests/api_test.cpp.
 //
 // Not part of the extern "C" surface: this file may throw (the ABI's
 // translate helper is the only place exceptions become status codes).
@@ -39,8 +42,8 @@ namespace gather::api {
 /// use_result_cache, trace_dir. The result carries apply_sweep_policy.
 [[nodiscard]] scenario::SweepSpec parse_sweep_spec(const std::string& text);
 
-/// The sweep harness policy that parse_sweep_spec and gather_cli --sweep
-/// share (see the file comment); also clears the single-run trace_path.
+/// The sweep harness policy parse_sweep_spec applies (see the file
+/// comment); also clears the single-run trace_path.
 void apply_sweep_policy(scenario::SweepSpec& sweep);
 
 }  // namespace gather::api

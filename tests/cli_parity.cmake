@@ -56,7 +56,7 @@ expect_same(${DATA}/cli_sweep_parity.csv sweep.csv)
 # Every single-run flag. --graph-file overrides --graph and the path in
 # --params; --pair-distance overrides the distance in --placement-params.
 run_cli(0 run.stdout
-  --graph=torus --graph-file=${DATA}/cli_petersen.graph
+  --graph=torus "--graph-file=${DATA}/cli_petersen.graph"
   --params=path=unused.graph --n=99 --k=3
   --algorithm=faster --placement=pair
   --placement-params=distance=1 --pair-distance=2
@@ -70,7 +70,7 @@ expect_same(${DATA}/cli_run_every_flag.txt run.stdout)
 # Spec-text rules the CLI inherits from the parser: list items are
 # trimmed, seeds span the full uint64 range, and out-of-range integers
 # or a line break in a value (which would smuggle in a second key) are
-# usage errors (exit 2).
+# usage errors (exit 2), as is a sweep-only flag without --sweep.
 run_cli(0 plain.stdout --sweep --families=ring,torus --sizes=9,12 --k=3
   --seeds=1 --out=plain.csv)
 run_cli(0 spaced.stdout --sweep "--families=ring, torus" "--sizes= 9, 12"
@@ -80,5 +80,6 @@ run_cli(0 seed.stdout --seed=18446744073709551615)
 run_cli(2 range.stdout --known-distance=4294967298)
 run_cli(2 newline.stdout "--labeling=random\nseed=1")
 run_cli(2 carriage.stdout "--params=\rn=5")
+run_cli(2 sweep_only.stdout --seeds=1,2)
 
 file(REMOVE_RECURSE "${WORK}")
