@@ -1,7 +1,6 @@
 #include "core/map_graph.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "support/assert.hpp"
 #include "support/math.hpp"
@@ -59,111 +58,91 @@ bool MapGraph::complete() const {
   return true;
 }
 
-namespace {
-
-struct BfsTree {
-  std::vector<MapGraph::MapNode> parent;
-  std::vector<sim::Port> port_to_parent;
-  std::vector<sim::Port> port_from_parent;
+/// One breadth-first search over resolved edges. Ports are scanned in
+/// ascending order, so the nodes first reached from order[i] are the
+/// contiguous range order[first_child[i] .. first_child[i+1]), already in
+/// ascending parent-side port order: the BFS tree's child lists, with no
+/// per-node vectors and no sort.
+struct MapGraph::Bfs {
+  static constexpr MapNode kUnseen = static_cast<MapNode>(-1);
+  /// Tree edge into a node: its parent, the parent-side port (`down`)
+  /// and the child-side port (`up`). kUnseen parent = not reached.
+  struct Via {
+    MapNode parent = kUnseen;
+    sim::Port down = sim::kNoPort;
+    sim::Port up = sim::kNoPort;
+  };
+  std::vector<Via> via;  ///< per map node
+  std::vector<MapNode> order;
+  std::vector<std::uint32_t> first_child;  ///< per BFS position, plus an end
 };
 
-/// BFS tree over resolved edges, rooted at start.
-BfsTree bfs_tree(const MapGraph& map, MapGraph::MapNode start) {
-  const auto n = static_cast<MapGraph::MapNode>(map.num_nodes());
-  BfsTree tree;
-  tree.parent.assign(n, start);
-  tree.port_to_parent.assign(n, sim::kNoPort);
-  tree.port_from_parent.assign(n, sim::kNoPort);
-  std::vector<bool> seen(n, false);
-  seen[start] = true;
-  std::queue<MapGraph::MapNode> frontier;
-  frontier.push(start);
-  while (!frontier.empty()) {
-    const auto v = frontier.front();
-    frontier.pop();
-    for (sim::Port p = 0; p < map.degree(v); ++p) {
-      if (!map.is_resolved(v, p)) continue;
-      const auto [to, to_port] = map.endpoint(v, p);
-      if (!seen[to]) {
-        seen[to] = true;
-        tree.parent[to] = v;
-        tree.port_from_parent[to] = p;
-        tree.port_to_parent[to] = to_port;
-        frontier.push(to);
-      }
+MapGraph::Bfs MapGraph::bfs(MapNode start, MapNode target) const {
+  const std::size_t n = nodes_.size();
+  Bfs t;
+  t.via.resize(n);
+  t.order.reserve(n);
+  t.first_child.reserve(n + 1);
+  t.via[start].parent = start;
+  t.order.push_back(start);
+  // Stop once `target` is reached (kUnseen: never): the route to it is
+  // final by then.
+  const auto searching = [&] {
+    return target == Bfs::kUnseen || t.via[target].parent == Bfs::kUnseen;
+  };
+  for (std::size_t head = 0; head < t.order.size() && searching(); ++head) {
+    const MapNode v = t.order[head];
+    t.first_child.push_back(static_cast<std::uint32_t>(t.order.size()));
+    const Node& node = nodes_[v];
+    for (sim::Port p = 0; p < node.degree; ++p) {
+      const PortSlot& slot = node.ports[p];
+      if (!slot.resolved || t.via[slot.to].parent != Bfs::kUnseen) continue;
+      t.via[slot.to] = Bfs::Via{v, p, slot.to_port};
+      t.order.push_back(slot.to);
     }
   }
-  // The resolved subgraph is connected by construction.
-  GATHER_ENSURES(std::all_of(seen.begin(), seen.end(), [](bool s) { return s; }));
-  return tree;
+  t.first_child.push_back(static_cast<std::uint32_t>(t.order.size()));
+  return t;
 }
-
-}  // namespace
 
 std::vector<sim::Port> MapGraph::path_ports(MapNode from, MapNode to) const {
   GATHER_EXPECTS(from < nodes_.size() && to < nodes_.size());
   if (from == to) return {};
-  // BFS from `from` over resolved edges, reconstructing the port route.
-  const auto n = static_cast<MapNode>(nodes_.size());
-  std::vector<sim::Port> via_port(n, sim::kNoPort);
-  std::vector<MapNode> via_node(n, from);
-  std::vector<bool> seen(n, false);
-  seen[from] = true;
-  std::queue<MapNode> frontier;
-  frontier.push(from);
-  while (!frontier.empty() && !seen[to]) {
-    const MapNode v = frontier.front();
-    frontier.pop();
-    for (sim::Port p = 0; p < nodes_[v].degree; ++p) {
-      if (!nodes_[v].ports[p].resolved) continue;
-      const MapNode next = nodes_[v].ports[p].to;
-      if (!seen[next]) {
-        seen[next] = true;
-        via_port[next] = p;
-        via_node[next] = v;
-        frontier.push(next);
-      }
-    }
-  }
-  GATHER_ENSURES(seen[to]);
+  const Bfs t = bfs(from, to);
+  // The resolved subgraph is connected by construction.
+  GATHER_ENSURES(t.via[to].parent != Bfs::kUnseen);
   std::vector<sim::Port> route;
-  for (MapNode v = to; v != from; v = via_node[v]) route.push_back(via_port[v]);
+  for (MapNode v = to; v != from; v = t.via[v].parent) {
+    route.push_back(t.via[v].down);
+  }
   std::reverse(route.begin(), route.end());
   return route;
 }
 
 std::vector<MapGraph::TourStep> MapGraph::closed_tour(MapNode start) const {
   GATHER_EXPECTS(start < nodes_.size());
-  const BfsTree tree = bfs_tree(*this, start);
-  // Children sorted by parent-side port for determinism.
-  std::vector<std::vector<MapNode>> children(nodes_.size());
-  for (MapNode v = 0; v < nodes_.size(); ++v) {
-    if (v == start) continue;
-    children[tree.parent[v]].push_back(v);
-  }
-  for (auto& kids : children) {
-    std::sort(kids.begin(), kids.end(), [&](MapNode a, MapNode b) {
-      return tree.port_from_parent[a] < tree.port_from_parent[b];
-    });
-  }
+  const Bfs t = bfs(start, Bfs::kUnseen);
+  GATHER_ENSURES(t.order.size() == nodes_.size());
   std::vector<TourStep> steps;
   steps.reserve(2 * (nodes_.size() - 1));
+  // DFS over BFS positions: each frame walks its node's child range.
   struct Frame {
-    MapNode node;
-    std::size_t next_child;
+    std::uint32_t at;
+    std::uint32_t next_child;
   };
-  std::vector<Frame> stack{{start, 0}};
+  std::vector<Frame> stack;
+  stack.reserve(nodes_.size());
+  stack.push_back(Frame{0, t.first_child[0]});
   while (!stack.empty()) {
     Frame& top = stack.back();
-    if (top.next_child < children[top.node].size()) {
-      const MapNode child = children[top.node][top.next_child];
-      ++top.next_child;
-      steps.push_back(TourStep{tree.port_from_parent[child], child});
-      stack.push_back(Frame{child, 0});
+    if (top.next_child < t.first_child[top.at + 1]) {
+      const std::uint32_t child = top.next_child++;
+      const MapNode c = t.order[child];
+      steps.push_back(TourStep{t.via[c].down, c});
+      stack.push_back(Frame{child, t.first_child[child]});
     } else {
-      if (top.node != start)
-        steps.push_back(TourStep{tree.port_to_parent[top.node],
-                                 tree.parent[top.node]});
+      const MapNode v = t.order[top.at];
+      if (top.at != 0) steps.push_back(TourStep{t.via[v].up, t.via[v].parent});
       stack.pop_back();
     }
   }

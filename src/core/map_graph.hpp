@@ -45,8 +45,9 @@ class MapGraph {
   [[nodiscard]] std::vector<sim::Port> path_ports(MapNode from, MapNode to) const;
 
   /// Closed walk from `start` that visits every map node and returns to
-  /// `start`: a DFS tour of the BFS tree over resolved edges. Returns the
-  /// (exit port, arrival node) steps; 2(n'-1) steps for n' map nodes.
+  /// `start`: a DFS tour of the BFS tree over resolved edges, children in
+  /// ascending parent-side port order. Returns the (exit port, arrival
+  /// node) steps; 2(n'-1) steps for n' map nodes.
   struct TourStep {
     sim::Port port;
     MapNode arrives_at;
@@ -73,6 +74,10 @@ class MapGraph {
   };
   std::vector<Node> nodes_;
   std::size_t resolved_half_edges_ = 0;
+
+  /// BFS over resolved edges, ports scanned in ascending order (map_graph.cpp).
+  struct Bfs;
+  [[nodiscard]] Bfs bfs(MapNode start, MapNode target) const;
 };
 
 }  // namespace gather::core

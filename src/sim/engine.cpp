@@ -81,6 +81,7 @@ void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
   pos_.push_back(start);
   entry_port_.push_back(kNoPort);
   wake_.push_back(0);
+  pending_.push_back(kNoRound);
   active_stamp_.push_back(kNoRound);
   move_count_.push_back(0);
   terminated_.push_back(0);
@@ -127,13 +128,23 @@ void Engine::heap_push(Round round, std::uint32_t slot) {
     if (prof_ != nullptr) ++prof_->bucket_pushes;
     return;
   }
+  // A sleeper woken early that goes back to sleep until the same
+  // deadline finds its entry still queued: wake_ names the deadline
+  // again, so that entry is live once more and no second one is needed.
+  if (pending_[slot] == round) return;
+  pending_[slot] = round;
   heap_.emplace_back(round, slot);
   std::push_heap(heap_.begin(), heap_.end(),
                  std::greater<std::pair<Round, std::uint32_t>>{});
-  if (prof_ != nullptr) ++prof_->heap_pushes;
+  if (prof_ != nullptr) {
+    ++prof_->heap_pushes;
+    prof_->heap_peak = std::max<std::uint64_t>(prof_->heap_peak, heap_.size());
+  }
 }
 
 void Engine::heap_pop() {
+  const auto [round, slot] = heap_.front();
+  if (pending_[slot] == round) pending_[slot] = kNoRound;
   std::pop_heap(heap_.begin(), heap_.end(),
                 std::greater<std::pair<Round, std::uint32_t>>{});
   heap_.pop_back();

@@ -75,10 +75,12 @@
 // alive count incrementally, so it costs O(active · log active) rather
 // than a pass over every slot. After run() sizes the scratch buffers,
 // the view, occupancy, decision, wake, and active-set machinery never
-// allocates in the round loop; the one amortized exception is the heap,
-// which grows past its reserve only when stale later-deadline entries
-// (a sleeper woken early by an occupancy change) pile up faster than
-// they are popped.
+// allocates in the round loop. The heap holds at most one pending entry
+// per (slot, deadline): a sleeper woken early by an occupancy change
+// that goes back to sleep until the same deadline revives its queued
+// entry instead of pushing a second one. It outgrows its reserve only
+// if slots keep re-sleeping to ever new deadlines before the old ones
+// are popped.
 //
 // Layer contract (umbrella for src/sim/): the execution model and the
 // robot/oracle boundary. The engine holds the whole-graph view; robots
@@ -104,12 +106,15 @@ class TraceRecorder;  // sim/trace.hpp — opt-in binary trace sink
 
 /// Deterministic wake-phase work counters (EngineConfig::profile). Every
 /// field is a pure function of the run, identical on any machine, so
-/// tests can pin complexity bounds on them. run() adds to the fields;
-/// they never enter fingerprints, CSV, or traces.
+/// tests can pin complexity bounds on them. run() adds to the counts
+/// and raises heap_peak; they never enter fingerprints, CSV, or traces.
 struct EngineProfile {
-  std::uint64_t heap_pushes = 0;    ///< wakes scheduled past the next round
+  /// Heap entries created: wakes past the next round, minus those that
+  /// found their (slot, deadline) entry still queued.
+  std::uint64_t heap_pushes = 0;
   std::uint64_t bucket_pushes = 0;  ///< wakes scheduled for the next round
   std::uint64_t heap_pops = 0;      ///< heap entries removed, stale ones included
+  std::uint64_t heap_peak = 0;      ///< largest heap size seen
   /// Slot entries examined to collect the active sets and count the
   /// alive robots: bucket and due heap entries in skip mode, every slot
   /// per round in naive mode, every slot per alive recount under a
@@ -216,6 +221,9 @@ class Engine {
   std::vector<NodeId> pos_;
   std::vector<Port> entry_port_;
   std::vector<Round> wake_;
+  /// Deadline of the slot's queued heap entry (kNoRound = none queued):
+  /// heap_push skips a second entry for the same deadline.
+  std::vector<Round> pending_;
   std::vector<Round> active_stamp_;  ///< dedupe marker for the active set
   std::vector<std::uint64_t> move_count_;
   std::vector<std::uint8_t> terminated_;
@@ -245,7 +253,7 @@ class Engine {
   std::vector<std::uint32_t> occ_next_;  ///< per slot: next slot or kNoSlot
 
   /// Lazy min-heap of (wake_round, slot) for deadlines past the next
-  /// round; entries may be stale.
+  /// round; entries may be stale, at most one per (slot, pending_).
   std::vector<std::pair<Round, std::uint32_t>> heap_;
   /// Next-round bucket: slots whose wake is soon_round_, in push order.
   /// A slot may appear twice (suppressed, then carried); admission
@@ -327,11 +335,12 @@ class Engine {
   void collect_carried(Round r);
   std::size_t apply_carried(Round r, RunResult& result);
 
-  /// Schedule slot's wake: the bucket if round is soon_round_, else the heap.
+  /// Schedule slot's wake: the bucket if round is soon_round_, else the
+  /// heap unless the slot's entry for that round is still queued.
   void heap_push(Round round, std::uint32_t slot);
   /// Drop stale heap entries; the earliest live deadline, if any.
   [[nodiscard]] bool heap_pop_next(Round& round);
-  /// Remove the heap's top entry.
+  /// Remove the heap's top entry (and its pending_ mark).
   void heap_pop();
 
   void occupants_insert(NodeId node, std::uint32_t slot);

@@ -6,6 +6,9 @@
 // these checks before trusting §2.1 results.
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "graph/graph.hpp"
 #include "uxs/uxs.hpp"
 
@@ -20,6 +23,9 @@ namespace gather::uxs {
 /// True if the sequence explores g from every start node.
 [[nodiscard]] bool covers_all_starts(const graph::Topology& g,
                                      const ExplorationSequence& seq);
+/// The same check on stored offsets, without wrapping them in a sequence.
+[[nodiscard]] bool covers_all_starts(const graph::Topology& g,
+                                     std::span<const std::uint32_t> offsets);
 
 /// The node reached after walking `steps` sequence elements from `start`.
 [[nodiscard]] graph::NodeId walk_endpoint(const graph::Topology& g,

@@ -42,12 +42,15 @@ std::uint64_t practical_length(std::size_t n, std::uint64_t c) {
 
 namespace {
 
-std::vector<std::uint32_t> pseudorandom_offsets(std::uint64_t seed,
-                                                std::uint64_t length) {
+/// Append `length` offsets of the stream seeded with `seed` to `out`.
+void append_pseudorandom_offsets(std::uint64_t seed, std::uint64_t length,
+                                 std::vector<std::uint32_t>& out) {
   support::Xoshiro256 rng(seed);
-  std::vector<std::uint32_t> offsets(length);
-  for (auto& o : offsets) o = static_cast<std::uint32_t>(rng.next() >> 32);
-  return offsets;
+  const std::size_t begin = out.size();
+  out.resize(begin + length);
+  for (std::size_t i = begin; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint32_t>(rng.next() >> 32);
+  }
 }
 
 }  // namespace
@@ -58,9 +61,10 @@ SequencePtr make_pseudorandom_sequence(std::size_t n, std::uint64_t length) {
   // The seed is a fixed function of n alone: every robot that knows n
   // derives the same sequence, as the model requires.
   const std::uint64_t seed = support::hash_combine(0xDEED5EEDu, n);
+  std::vector<std::uint32_t> offsets;
+  append_pseudorandom_offsets(seed, length, offsets);
   return std::make_shared<ExplorationSequence>(
-      "pseudorandom(n=" + std::to_string(n) + ")",
-      pseudorandom_offsets(seed, length));
+      "pseudorandom(n=" + std::to_string(n) + ")", std::move(offsets));
 }
 
 SequencePtr make_lazy_sequence(std::size_t n, std::uint64_t length) {
@@ -84,13 +88,13 @@ SequencePtr make_covering_sequence(const graph::Topology& g, std::uint64_t seed)
   // quickly for experiment-scale graphs.
   const std::uint64_t chunk =
       std::max<std::uint64_t>(16, 4 * static_cast<std::uint64_t>(n) * n);
+  // Chunks are generated in place and checked without a copy, so one
+  // chunk-sized buffer is alive at a time.
   std::vector<std::uint32_t> offsets;
   for (unsigned grow = 0; grow < 4096; ++grow) {
-    const std::vector<std::uint32_t> more = pseudorandom_offsets(
-        support::hash_combine(seed, grow), chunk);
-    offsets.insert(offsets.end(), more.begin(), more.end());
-    ExplorationSequence candidate("probe", offsets);
-    if (covers_all_starts(g, candidate)) {
+    append_pseudorandom_offsets(support::hash_combine(seed, grow), chunk,
+                                offsets);
+    if (covers_all_starts(g, offsets)) {
       return std::make_shared<ExplorationSequence>(
           "covering(n=" + std::to_string(n) +
               ",len=" + std::to_string(offsets.size()) + ")",
