@@ -199,9 +199,10 @@ BENCHMARK(BM_SkipVsNaive_QuietSchedule)->Arg(0)->Arg(1);
 
 void BM_SemiSyncClockSync(benchmark::State& state) {
   // The same sleepers, one per node, under semi-synchronous fairness 4:
-  // every wake catches the slot's activation-count clock up over the
-  // skipped stretch (Scheduler::count_activations). Items are slots x
-  // elapsed global rounds, the (slot, round) pairs the catch-up covers.
+  // each 64-round block the run crosses fetches every live slot's
+  // activation word in one Scheduler::activation_words call, and each
+  // wake reads its slot's clock off that ledger. Items are slots x
+  // elapsed global rounds, the (slot, round) pairs the clocks cover.
   const auto robots = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = graph::make_ring(robots);
   const auto sched = std::make_shared<sim::SemiSynchronousScheduler>(1, 4);

@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <type_traits>
 
 #include "sim/trace.hpp"
@@ -88,7 +90,6 @@ void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
   release_.push_back(release);
   crash_at_.push_back(crash);
   local_.push_back(0);
-  synced_to_.push_back(release);
   sleep_target_.push_back(kNoRound);
   standing_follow_.push_back(0);
   occ_next_.push_back(kNoSlot);
@@ -165,15 +166,50 @@ bool Engine::heap_pop_next(Round& round) {
   return false;
 }
 
-void Engine::sync_local(std::uint32_t slot, Round r) {
-  // Lazy catch-up of the activation-count clock: every adversary-activated
-  // round in the skipped stretch ticked the clock, acted on or not.
-  // count_activations() is the exact sum of the pure activates(), so this
-  // agrees with the round-by-round increments naive stepping performs.
-  const Round from = synced_to_[slot];
-  if (from >= r) return;
-  local_[slot] += sched_->count_activations(slot, ids_[slot], from, r);
-  synced_to_[slot] = r;
+void Engine::advance_ledger(Round r) {
+  constexpr Round kWordRounds = Scheduler::kWordRounds;
+  const Round target = r / kWordRounds;
+  if (ledger_block_ == target) return;
+  // A fresh ledger starts at the first collected round's block: every
+  // release is at or after that round, so no earlier block holds an
+  // activation of any slot.
+  const Round from = ledger_block_ == kNoRound ? target : ledger_block_ + 1;
+  const auto num_slots = static_cast<std::uint32_t>(ids_.size());
+  for (Round block = from; block <= target; ++block) {
+    // Live slots: not terminated, not crashed by the block's first round
+    // (never admitted again), released by its last. Liveness only ever
+    // ends, so a live slot's blocks are consecutive and folding the
+    // previous word into clock_base_ below misses none.
+    const Round start = block * kWordRounds;
+    ledger_slots_.clear();
+    ledger_ids_.clear();
+    for (std::uint32_t s = 0; s < num_slots; ++s) {
+      if (terminated_[s] != 0 || crash_at_[s] <= start ||
+          release_[s] > start + (kWordRounds - 1)) {
+        continue;
+      }
+      ledger_slots_.push_back(s);
+      ledger_ids_.push_back(ids_[s]);
+    }
+    const std::size_t count = ledger_slots_.size();
+    if (count == 0) continue;
+    const std::span<std::uint64_t> words(ledger_words_.data(), count);
+    sched_->activation_words(block, ledger_slots_, ledger_ids_, words);
+    if (prof_ != nullptr) {
+      prof_->activation_words += count;
+      ++prof_->ledger_blocks;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t s = ledger_slots_[i];
+      std::uint64_t word = words[i];
+      if (release_[s] > start) {
+        word &= ~std::uint64_t{0} << (release_[s] - start);
+      }
+      clock_base_[s] += static_cast<Round>(std::popcount(clock_word_[s]));
+      clock_word_[s] = word;
+    }
+  }
+  ledger_block_ = target;
 }
 
 bool Engine::resolve_carry(std::uint32_t s, Round r) {
@@ -364,6 +400,13 @@ RunResult Engine::run() {
   resolved_stamp_.assign(num_slots, kNoRound);
   resolve_mark_.assign(num_slots, 0);
   if (suppressing_) {
+    if (!config_.naive_stepping) {
+      clock_base_.assign(num_slots, 0);
+      clock_word_.assign(num_slots, 0);
+      ledger_slots_.reserve(num_slots);
+      ledger_ids_.reserve(num_slots);
+      ledger_words_.assign(num_slots, 0);
+    }
     decided_stay_local_.assign(num_slots, 0);
     carry_stamp_.assign(num_slots, kNoRound);
     carry_has_.assign(num_slots, 0);
@@ -432,22 +475,23 @@ RunResult Engine::run() {
         return;
       }
       if (suppressing) {
-        // Conservative wake, re-check on activation: catch the local
-        // clock up over the skipped stretch; if a sleep deadline is
-        // pending and local time still lags it (suppressed rounds did
-        // not tick), push the wake out by the remaining deficit.
-        sync_local(slot, r);
+        // Conservative wake, re-check on activation: read the local clock
+        // off the ledger; if a sleep deadline is pending and local time
+        // still lags it (suppressed rounds did not tick), push the wake
+        // out by the remaining deficit.
+        const Round bit = r % Scheduler::kWordRounds;
+        const std::uint64_t word = clock_word_[slot];
+        local_[slot] = clock_base_[slot] +
+                       static_cast<Round>(std::popcount(
+                           word & ((std::uint64_t{1} << bit) - 1)));
         if (sleep_target_[slot] != kNoRound &&
             local_[slot] < sleep_target_[slot]) {
           heap_push(support::sat_add(r, sleep_target_[slot] - local_[slot]),
                     slot);
           return;
         }
-        if (!sched_->activates(r, slot, ids_[slot])) {
-          // Suppressed: deferred one round. Round r did not tick the
-          // clock, so the next catch-up starts after it.
-          synced_to_[slot] = r + 1;
-          heap_push(r + 1, slot);
+        if (((word >> bit) & 1) == 0) {
+          heap_push(r + 1, slot);  // suppressed: deferred one round
           return;
         }
         sleep_target_[slot] = kNoRound;  // promise consumed; re-deciding
@@ -500,6 +544,7 @@ RunResult Engine::run() {
       // entry due at r, then sort the small admitted set into slot
       // order — the order naive stepping's scan produces. Wakes pushed
       // from here on are for r+1 or later, so the new bucket is r+1's.
+      if (suppressing) advance_ledger(r);
       due_.swap(soon_);
       soon_round_ = r + 1;
       std::size_t visited = due_.size();
@@ -529,15 +574,10 @@ RunResult Engine::run() {
     const std::size_t movers = simulate_round(r, result);
 
     // ---- post-round bookkeeping -----------------------------------------
-    if (suppressing) {
-      // Every consulted slot experienced round r as one activation. In
-      // naive mode active_ is exactly the adversary-activated set, so the
-      // clocks stay exact; in skip mode sleeping slots catch up lazily
-      // through sync_local when they next pop.
-      for (const std::uint32_t s : active_) {
-        local_[s] += 1;
-        synced_to_[s] = r + 1;
-      }
+    if (suppressing && config_.naive_stepping) {
+      // In naive mode active_ is exactly the adversary-activated set, so
+      // ticking it keeps every clock exact; skip mode reads the ledger.
+      for (const std::uint32_t s : active_) local_[s] += 1;
     }
     m.rounds = r;
     ++m.simulated_rounds;

@@ -32,19 +32,25 @@
 //    LOCAL time: the number of rounds the scheduler has activated it
 //    since its release. Stay{until} deadlines are local too. For
 //    non-suppressing schedulers local time is `global − release` and the
-//    translation is two adds; under suppression the engine keeps a
-//    per-slot clock that is advanced lazily by counting the scheduler's
-//    pure activates() predicate over skipped stretches, and sleep
-//    deadlines become *conservative* global wakes (local time advances
-//    at most one per round) that are re-checked on wake and pushed out
-//    by the remaining deficit — so event-driven skipping stays exact
-//    under suppression. A robot whose most recent decision was Follow
-//    holds a *standing order*: if the scheduler suppresses it in a round
-//    its leader moves with take_followers, the engine carries it along
-//    (the F2F "come along" message does not require the follower to be
-//    activated). Under every non-suppressing scheduler followers are
-//    re-activated each round, so the carry path is provably unreachable
-//    there and the synchronous instruction stream is unchanged.
+//    translation is two adds. Under suppression local time is a pure
+//    function of the scheduler: the number of rounds in [release, r)
+//    its activates() predicate accepts. Naive stepping counts it round
+//    by round. The skipping engine keeps an *activation ledger* instead:
+//    the activation bits of every live robot for the 64-round block
+//    holding r (one Scheduler::activation_words() call per crossed
+//    block), plus each robot's count before that block. A local clock
+//    is that count plus a popcount, and an activation decision is a bit
+//    test. Sleep deadlines become *conservative* global wakes (local
+//    time advances at most one per round) that are re-checked on wake
+//    and pushed out by the remaining deficit — so event-driven skipping
+//    stays exact under suppression. A robot whose most recent decision
+//    was Follow holds a *standing order*: if the scheduler suppresses it
+//    in a round its leader moves with take_followers, the engine carries
+//    it along (the F2F "come along" message does not require the
+//    follower to be activated). Under every non-suppressing scheduler
+//    followers are re-activated each round, so the carry path is
+//    provably unreachable there and the synchronous instruction stream
+//    is unchanged.
 //
 //  * Scheduler hooks off the hot path. Adversary features are gated by
 //    booleans cached at add_robot time (any delay? any crash? does this
@@ -121,6 +127,11 @@ struct EngineProfile {
   /// crash adversary.
   std::uint64_t wake_slot_visits = 0;
   std::uint64_t simulated_rounds = 0;
+  /// Activation ledger (suppressing schedulers, skip mode): words
+  /// requested from Scheduler::activation_words(), one per live slot per
+  /// block, and the 64-round blocks they were requested for.
+  std::uint64_t activation_words = 0;
+  std::uint64_t ledger_blocks = 0;
 };
 
 struct EngineConfig {
@@ -233,8 +244,10 @@ class Engine {
 
   // ---- activation-count local clocks (maintained only when the
   // ---- scheduler suppresses; see the file comment) ----------------------
-  std::vector<Round> local_;      ///< activations experienced since release
-  std::vector<Round> synced_to_;  ///< global round local_ is counted up to
+  /// Activations experienced since release, as of the round being
+  /// decided: ticked per round in naive mode, read from the ledger at
+  /// admission in skip mode.
+  std::vector<Round> local_;
   /// Pending Stay deadline in LOCAL time (kNoRound = none). Any forced
   /// wake (occupancy change, carry) clears it so the robot re-decides.
   std::vector<Round> sleep_target_;
@@ -298,6 +311,18 @@ class Engine {
   std::vector<std::uint64_t> decide_bits_;
 
   // ---- suppression-only scratch (sized in run(), unused otherwise) ------
+  // The activation ledger (skip mode): ledger_block_ is the 64-round
+  // block it holds (kNoRound before the first), clock_word_ the slot's
+  // activation bits in that block (none below its release), clock_base_
+  // its activations in the blocks before.
+  Round ledger_block_ = kNoRound;
+  std::vector<Round> clock_base_;
+  std::vector<std::uint64_t> clock_word_;
+  /// One activation_words() request: the live slots, their labels, and
+  /// the words returned.
+  std::vector<std::uint32_t> ledger_slots_;
+  std::vector<RobotId> ledger_ids_;
+  std::vector<std::uint64_t> ledger_words_;
   std::vector<Round> decided_stay_local_;  ///< pre-translation Stay deadline
   std::vector<std::uint32_t> carried_;     ///< slots carried this round
   std::vector<Round> carry_stamp_;         ///< memo stamp for resolve_carry
@@ -323,9 +348,10 @@ class Engine {
   template <int Mode>
   std::uint64_t decide_one(std::uint32_t s, Round r);
 
-  /// Advance slot's local clock over [synced_to_, r) with one
-  /// Scheduler::count_activations() call (suppressing schedulers only).
-  void sync_local(std::uint32_t slot, Round r);
+  /// Move the activation ledger to round r's block, requesting each
+  /// crossed block's words for every live slot (skip mode under a
+  /// suppressing scheduler).
+  void advance_ledger(Round r);
   /// Whether the inactive slot is carried by a take-followers move of
   /// its standing-follow chain this round; fills carry_edge_[slot].
   bool resolve_carry(std::uint32_t slot, Round r);

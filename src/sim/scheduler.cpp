@@ -1,10 +1,35 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/assert.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
+
+// Function multiversioning for the semi-synchronous coin kernels: one
+// source compiled for AVX-512F, AVX2 and baseline x86-64, one of them
+// picked at load time by an ifunc resolver. The kernels are integer
+// math only, so every clone computes the same bits. Off under
+// ThreadSanitizer, whose runtime is not initialized yet when the
+// resolver runs (the process crashes at startup).
+#if defined(__SANITIZE_THREAD__)
+#define GATHER_NO_TARGET_CLONES 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GATHER_NO_TARGET_CLONES 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(GATHER_NO_TARGET_CLONES)
+#if __has_attribute(target_clones)
+#define GATHER_TARGET_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef GATHER_TARGET_CLONES
+#define GATHER_TARGET_CLONES
+#endif
 
 namespace gather::sim {
 
@@ -12,13 +37,43 @@ namespace {
 
 /// One deterministic 64-bit draw per (seed, a, b) — the adversaries'
 /// choices must be pure functions so skip/naive execution and reruns
-/// agree (see the Scheduler purity contract). Inline so the per-round
-/// coin loop in count_activations carries no call.
+/// agree (see the Scheduler purity contract).
 inline std::uint64_t draw(std::uint64_t seed, std::uint64_t a,
                           std::uint64_t b) {
   return support::SplitMix64(
              support::hash_combine(support::hash_combine(seed, a), b))
       .next();
+}
+
+/// The slot-independent half of the coin draw for rounds first..first+63:
+/// keys[j] = hash_combine(seed, hash_combine(0xa1, first + j)).
+GATHER_TARGET_CLONES
+void coin_round_keys(std::uint64_t seed, Round first, std::uint64_t* keys) {
+  for (std::uint64_t j = 0; j < Scheduler::kWordRounds; ++j) {
+    keys[j] =
+        support::hash_combine(seed, support::hash_combine(0xa1, first + j));
+  }
+}
+
+/// The slot-dependent half: bit j of out[i] is the coin of round
+/// first + j for slots[i], i.e. draw(seed, hash_combine(0xa1, first + j),
+/// slots[i]) & 1. The inner loop has no branch, so it vectorizes.
+GATHER_TARGET_CLONES
+void coin_words(const std::uint64_t* keys, const std::uint32_t* slots,
+                std::size_t count, std::uint64_t* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t slot = slots[i];
+    std::uint64_t word = 0;
+    // A 64-bit counter: with a 32-bit one the shift below has no vector
+    // form and the loop stays scalar.
+    for (std::uint64_t j = 0; j < Scheduler::kWordRounds; ++j) {
+      const std::uint64_t bit =
+          support::SplitMix64(support::hash_combine(keys[j], slot)).next() &
+          1;
+      word |= bit << j;
+    }
+    out[i] = word;
+  }
 }
 
 }  // namespace
@@ -29,13 +84,20 @@ Round Scheduler::crash_round(std::uint32_t, RobotId) const { return kNoRound; }
 
 bool Scheduler::activates(Round, std::uint32_t, RobotId) const { return true; }
 
-Round Scheduler::count_activations(std::uint32_t slot, RobotId id, Round begin,
-                                   Round end) const {
-  Round count = 0;
-  for (Round g = begin; g < end; ++g) {
-    if (activates(g, slot, id)) ++count;
+void Scheduler::activation_words(Round block,
+                                 std::span<const std::uint32_t> slots,
+                                 std::span<const RobotId> ids,
+                                 std::span<std::uint64_t> out) const {
+  GATHER_EXPECTS(block <= kNoRound / kWordRounds);
+  GATHER_EXPECTS(ids.size() == slots.size() && out.size() == slots.size());
+  const Round first = block * kWordRounds;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    std::uint64_t word = 0;
+    for (Round j = 0; j < kWordRounds; ++j) {
+      if (activates(first + j, slots[i], ids[i])) word |= std::uint64_t{1} << j;
+    }
+    out[i] = word;
   }
-  return count;
 }
 
 Round Scheduler::fairness_bound() const { return 0; }
@@ -101,20 +163,28 @@ bool SemiSynchronousScheduler::activates(Round r, std::uint32_t slot,
   return r % fairness_ == phase_of(slot) || coin(r, slot) != 0;
 }
 
-Round SemiSynchronousScheduler::count_activations(std::uint32_t slot, RobotId,
-                                                  Round begin,
-                                                  Round end) const {
-  const Round phase = phase_of(slot);
-  // `rem` tracks g % fairness_ without a division per round. The coin
-  // bit is added rather than branched on: it is a fair coin, so a branch
-  // would mispredict half the time.
-  Round count = 0;
-  Round rem = begin % fairness_;
-  for (Round g = begin; g < end; ++g) {
-    count += rem == phase ? 1 : coin(g, slot);
-    if (++rem == fairness_) rem = 0;
+void SemiSynchronousScheduler::activation_words(
+    Round block, std::span<const std::uint32_t> slots,
+    std::span<const RobotId> ids, std::span<std::uint64_t> out) const {
+  GATHER_EXPECTS(block <= kNoRound / kWordRounds);
+  GATHER_EXPECTS(ids.size() == slots.size() && out.size() == slots.size());
+  const Round first = block * kWordRounds;
+  std::array<std::uint64_t, kWordRounds> keys;
+  coin_round_keys(seed_, first, keys.data());
+  coin_words(keys.data(), slots.data(), slots.size(), out.data());
+  // Phase rounds: bits j with (first + j) % fairness_ == phase. `every`
+  // marks the multiples of fairness_ below 64; a slot's phase bits are
+  // that mask shifted to the slot's first phase round in the block.
+  std::uint64_t every = 1;
+  for (Round j = fairness_; j < kWordRounds; j += fairness_) {
+    every |= std::uint64_t{1} << j;
   }
-  return count;
+  const Round rem = first % fairness_;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const Round phase = phase_of(slots[i]);
+    const Round offset = phase >= rem ? phase - rem : phase + (fairness_ - rem);
+    if (offset < kWordRounds) out[i] |= every << offset;
+  }
 }
 
 Round SemiSynchronousScheduler::extend_cap(Round cap) const {

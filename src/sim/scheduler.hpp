@@ -41,14 +41,14 @@
 //    arguments and must not starve: every robot activates at least once
 //    in any window of fairness_bound() consecutive rounds. Every
 //    activated round — acted on or slept through — advances the robot's
-//    local clock by one, so the engine derives each robot's local time
-//    by counting this predicate over the global rounds since release
-//    (lazily, via the conservative-wake/re-check machinery in
-//    sim/engine.cpp).
-//  * count_activations(slot, id, begin, end) — that count, batched: how
-//    many rounds of [begin, end) activates() accepts. It must equal the
-//    sum of activates() over the range exactly (the default is that
-//    loop); an override may only compute the same number faster, or skip
+//    local clock by one, so a robot's local time at round r is the
+//    number of rounds in [release, r) this predicate accepts.
+//  * activation_words(block, slots, ids, out) — that predicate for 64
+//    rounds and many robots at once: bit j of out[i] is
+//    activates(64·block + j, slots[i], ids[i]). The skipping engine keeps
+//    a ledger of these words (sim/engine.cpp) and reads every local clock
+//    and activation decision from it. The default is the activates()
+//    loop; an override may only compute the same bits faster, or skip
 //    and naive stepping stop agreeing.
 //
 // The synchronous scheduler answers (0, never, always) — bit-identical
@@ -58,6 +58,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -88,12 +89,18 @@ class Scheduler {
   [[nodiscard]] virtual bool activates(Round r, std::uint32_t slot,
                                        RobotId id) const;
 
-  /// Number of rounds g in [begin, end) with activates(g, slot, id) —
-  /// the engine's clock catch-up over a skipped stretch. Must equal that
-  /// sum exactly. The default is the per-round loop, so a scheduler that
-  /// overrides only activates() stays exact.
-  [[nodiscard]] virtual Round count_activations(std::uint32_t slot, RobotId id,
-                                                Round begin, Round end) const;
+  /// Rounds per activation word.
+  static constexpr Round kWordRounds = 64;
+
+  /// Activation bits of the 64 rounds of `block`: bit j of out[i] is
+  /// activates(64·block + j, slots[i], ids[i]). The three spans have one
+  /// entry per robot, and block is at most kNoRound / 64. The default
+  /// evaluates activates() bit by bit, so a scheduler that overrides
+  /// only activates() stays exact.
+  virtual void activation_words(Round block,
+                                std::span<const std::uint32_t> slots,
+                                std::span<const RobotId> ids,
+                                std::span<std::uint64_t> out) const;
 
   /// Suppression window: a pending robot is activated at least once every
   /// this-many rounds. 0 = this scheduler never suppresses (the engine
@@ -171,11 +178,13 @@ class SemiSynchronousScheduler final : public Scheduler {
   }
   [[nodiscard]] bool activates(Round r, std::uint32_t slot,
                                RobotId id) const override;
-  /// Same count as the per-round loop: the slot's phase is drawn once,
-  /// phase rounds are found by a modular counter, and the coin is
-  /// evaluated only on the other rounds.
-  [[nodiscard]] Round count_activations(std::uint32_t slot, RobotId id,
-                                        Round begin, Round end) const override;
+  /// Same bits as activates(): the 64 slot-independent round keys are
+  /// hashed once per block, each slot pays the coin's two remaining
+  /// finalizers per round, and its phase rounds come from one stride
+  /// mask shifted to its phase.
+  void activation_words(Round block, std::span<const std::uint32_t> slots,
+                        std::span<const RobotId> ids,
+                        std::span<std::uint64_t> out) const override;
   [[nodiscard]] Round fairness_bound() const override { return fairness_; }
   [[nodiscard]] Round extend_cap(Round cap) const override;
   [[nodiscard]] bool adversarial() const override { return fairness_ > 1; }

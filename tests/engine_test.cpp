@@ -631,6 +631,47 @@ TEST(EngineProfile, DispersedLadderSleepersKeepOneHeapEntryPerDeadline) {
   EXPECT_EQ(prof.wake_slot_visits, m.decision_calls);
 }
 
+TEST(EngineProfile, SuppressedSleepersReadClocksFromTheLedger) {
+  // Three sleepers on a ring under semi-synchronous fairness 4, each
+  // Staying 1000 local rounds at a time until local time 5000. Skip mode
+  // requests one activation word per live slot per 64-round block, with
+  // one scheduler call per block however many slots are live; naive
+  // stepping never reads the ledger. A per-slot clock catch-up would
+  // instead cover every (slot, round) pair one coin at a time.
+  constexpr RobotId kSleepers = 3;
+  const graph::Graph g = graph::make_ring(6);
+  auto sleeper = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= 5000) return Action::terminate();
+    return Action::stay_until_round(view.round + 1000);
+  };
+  EngineProfile profiles[2];
+  RunResult results[2];
+  for (int mode = 0; mode < 2; ++mode) {
+    EngineConfig cfg = config_with_cap(100000);
+    cfg.naive_stepping = mode == 1;
+    cfg.scheduler = std::make_shared<SemiSynchronousScheduler>(5, 4);
+    cfg.profile = &profiles[mode];
+    Engine engine(g, cfg);
+    for (RobotId id = 1; id <= kSleepers; ++id) {
+      engine.add_robot(std::make_unique<ScriptedRobot>(id, sleeper),
+                       static_cast<NodeId>(2 * (id - 1)));
+    }
+    results[mode] = engine.run();
+    ASSERT_TRUE(results[mode].all_terminated) << "mode " << mode;
+  }
+  EXPECT_EQ(results[0].metrics.trace_hash, results[1].metrics.trace_hash);
+  const RunMetrics& m = results[0].metrics;
+  const EngineProfile& skip = profiles[0];
+  // Every block up to the last termination (round 7978, block 124) is
+  // requested once with all three sleepers live in it: 125 blocks of
+  // round keys, 375 words. A per-slot catch-up would hash a round key
+  // for each of about 3 x 7979 (slot, round) pairs instead.
+  EXPECT_EQ(m.rounds, 7978u);
+  EXPECT_EQ(skip.ledger_blocks, 125u);
+  EXPECT_EQ(skip.activation_words, 375u);
+  EXPECT_EQ(profiles[1].ledger_blocks + profiles[1].activation_words, 0u);
+}
+
 TEST(EngineOccupancy, ViewsStaySortedByLabelThroughEverySplicePath) {
   // RoundView::colocated is sorted by id. The splice keeps each node's
   // list in label order whether a round's arrivals are merged unsorted

@@ -18,15 +18,16 @@
 //
 // On top sit behavioural properties: semi-synchronous fairness, crash
 // freezing, detection soundness flags (RunResult::false_announcement),
-// the batched clock catch-up (count_activations exactness, a
-// differential run against the default per-round loop, and a
-// complexity gate), and a registry/sweep pass over every graph family ×
-// every adversary.
+// the activation ledger (activation_words exactness, a differential run
+// against the default activates() loop, and a complexity gate), and a
+// registry/sweep pass over every graph family × every adversary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
+#include <span>
 
 #include "core/robots.hpp"
 #include "core/run.hpp"
@@ -357,6 +358,47 @@ ScriptedRun run_scripted(const graph::Graph& g, std::size_t k,
 
 // ---- 3. skip-vs-naive equivalence under every adversary ------------------
 
+/// Semi-synchronous activation on top of explicit per-slot releases and
+/// crashes: the skipping engine's activation ledger must leave out the
+/// rounds before a release that falls inside a 64-round block, and stop
+/// counting a slot once it crashes.
+class SuppressedDelayedCrashingScheduler final : public sim::Scheduler {
+ public:
+  SuppressedDelayedCrashingScheduler(std::vector<sim::Round> releases,
+                                     std::vector<sim::Round> crashes)
+      : releases_(std::move(releases)),
+        crashes_(std::move(crashes)),
+        inner_(11, 3) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "suppressed-delayed-crashing";
+  }
+  [[nodiscard]] sim::Round release_round(std::uint32_t slot,
+                                         sim::RobotId) const override {
+    return releases_[slot];
+  }
+  [[nodiscard]] sim::Round crash_round(std::uint32_t slot,
+                                       sim::RobotId) const override {
+    return crashes_[slot];
+  }
+  [[nodiscard]] bool activates(sim::Round r, std::uint32_t slot,
+                               sim::RobotId id) const override {
+    return inner_.activates(r, slot, id);
+  }
+  void activation_words(sim::Round block, std::span<const std::uint32_t> slots,
+                        std::span<const sim::RobotId> ids,
+                        std::span<std::uint64_t> out) const override {
+    inner_.activation_words(block, slots, ids, out);
+  }
+  [[nodiscard]] sim::Round fairness_bound() const override {
+    return inner_.fairness_bound();
+  }
+
+ private:
+  std::vector<sim::Round> releases_;
+  std::vector<sim::Round> crashes_;
+  sim::SemiSynchronousScheduler inner_;
+};
+
 TEST(SchedulerEquivalence, SkipAndNaiveAgreeUnderEveryAdversary) {
   const graph::Graph g = graph::make_random_connected(16, 24, 3);
   const std::vector<
@@ -385,6 +427,18 @@ TEST(SchedulerEquivalence, SkipAndNaiveAgreeUnderEveryAdversary) {
            std::make_shared<sim::CrashFaultScheduler>(
                std::vector<sim::Round>{1, sim::kNoRound, 2, 3,
                                        sim::kNoRound})},
+          // Releases and crashes inside and on the edges of the
+          // activation ledger's 64-round blocks.
+          {"semi-synchronous, releases and crashes mid-block",
+           std::make_shared<SuppressedDelayedCrashingScheduler>(
+               std::vector<sim::Round>{3, 0, 70, 1, 129},
+               std::vector<sim::Round>{sim::kNoRound, 100, sim::kNoRound, 64,
+                                       sim::kNoRound})},
+          {"semi-synchronous, releases and crashes on block edges",
+           std::make_shared<SuppressedDelayedCrashingScheduler>(
+               std::vector<sim::Round>{64, 0, 63, 128, 0},
+               std::vector<sim::Round>{sim::kNoRound, 128, 191, sim::kNoRound,
+                                       65})},
       };
   for (const auto& [name, adversary] : adversaries) {
     const ScriptedRun skip = run_scripted(g, 5, 131, adversary, false);
@@ -599,44 +653,11 @@ TEST(SemiSynchronous, CapLimitedRunCannotFalselyReportNonTermination) {
   }
 }
 
-// ---- batched clock catch-up: count_activations ---------------------------
-
-TEST(CountActivations, SemiSynchronousEqualsSumOfActivates) {
-  // The override must count exactly what the per-round predicate says,
-  // on every range shape: empty, one round, unaligned to the fairness
-  // window, across 2^32, around 2^63, and up to the kNoRound sentinel.
-  constexpr sim::Round kTwo32 = sim::Round{1} << 32;
-  constexpr sim::Round kTwo63 = sim::Round{1} << 63;
-  const std::pair<sim::Round, sim::Round> ranges[] = {
-      {0, 0},          {41, 41},        {0, 1},
-      {6, 7},          {63, 64},        {0, 257},
-      {3, 200},        {7, 138},        {1001, 1064},
-      {kTwo32 - 70, kTwo32 + 71},       {kTwo63 - 90, kTwo63 + 45},
-      {kTwo63 - 1, kTwo63 + 1},         {sim::kNoRound - 100, sim::kNoRound},
-  };
-  for (const sim::Round fairness :
-       {1ull, 2ull, 3ull, 4ull, 5ull, 7ull, 64ull}) {
-    for (const std::uint64_t seed : {1ull, 17ull}) {
-      const sim::SemiSynchronousScheduler sched(seed, fairness);
-      for (std::uint32_t slot = 0; slot < 4; ++slot) {
-        const sim::RobotId id = slot + 1;
-        for (const auto& [begin, end] : ranges) {
-          sim::Round expected = 0;
-          for (sim::Round g = begin; g < end; ++g) {
-            expected += sched.activates(g, slot, id) ? 1 : 0;
-          }
-          EXPECT_EQ(sched.count_activations(slot, id, begin, end), expected)
-              << "fairness " << fairness << " seed " << seed << " slot "
-              << slot << " range [" << begin << ", " << end << ")";
-        }
-      }
-    }
-  }
-}
+// ---- activation ledger: activation_words --------------------------------
 
 /// Forwards only activates() (and the policy the engine needs to treat it
-/// as suppressing), so the engine's catch-up takes the base class's
-/// per-round count_activations loop.
+/// as suppressing), so activation_words() is the base class's loop over
+/// activates().
 class ActivatesOnlyScheduler final : public sim::Scheduler {
  public:
   explicit ActivatesOnlyScheduler(std::shared_ptr<const sim::Scheduler> inner)
@@ -661,6 +682,56 @@ class ActivatesOnlyScheduler final : public sim::Scheduler {
  private:
   std::shared_ptr<const sim::Scheduler> inner_;
 };
+
+TEST(ActivationWords, EveryBitEqualsActivates) {
+  // Bit j of each word must be exactly activates(64·block + j, ...), for
+  // the semi-synchronous override and for the base-class default, on
+  // blocks at the start, around 2^32 and 2^63, and the last block (whose
+  // final round is kNoRound); fairness bounds below, at and above the
+  // word width; one-slot, multi-slot (out of slot order) and empty calls.
+  constexpr sim::Round kTwo32Block = (sim::Round{1} << 32) / 64;
+  constexpr sim::Round kTwo63Block = (sim::Round{1} << 63) / 64;
+  const sim::Round blocks[] = {0,           1,           kTwo32Block - 1,
+                               kTwo32Block, kTwo63Block - 1, kTwo63Block,
+                               sim::kNoRound / 64};
+  const std::vector<std::uint32_t> slots = {2, 0, 3, 1};
+  const std::vector<sim::RobotId> ids = {3, 1, 4, 2};
+  for (const sim::Round fairness :
+       {1ull, 2ull, 3ull, 4ull, 5ull, 7ull, 63ull, 64ull, 65ull, 100ull}) {
+    for (const std::uint64_t seed : {1ull, 17ull}) {
+      const auto direct =
+          std::make_shared<sim::SemiSynchronousScheduler>(seed, fairness);
+      const ActivatesOnlyScheduler looped(direct);
+      for (const sim::Scheduler* sched :
+           {static_cast<const sim::Scheduler*>(direct.get()),
+            static_cast<const sim::Scheduler*>(&looped)}) {
+        const std::string who =
+            sched == direct.get() ? "override" : "default";
+        for (const sim::Round block : blocks) {
+          const std::string where = who + " fairness " +
+                                    std::to_string(fairness) + " seed " +
+                                    std::to_string(seed) + " block " +
+                                    std::to_string(block);
+          std::vector<std::uint64_t> words(slots.size(), 0);
+          sched->activation_words(block, slots, ids, words);
+          for (std::size_t i = 0; i < slots.size(); ++i) {
+            std::uint64_t one = 0;
+            sched->activation_words(block, {&slots[i], 1}, {&ids[i], 1},
+                                    {&one, 1});
+            EXPECT_EQ(one, words[i]) << where << " slot " << slots[i];
+            for (sim::Round j = 0; j < 64; ++j) {
+              const bool expected =
+                  direct->activates(64 * block + j, slots[i], ids[i]);
+              EXPECT_EQ(((words[i] >> j) & 1) != 0, expected)
+                  << where << " slot " << slots[i] << " bit " << j;
+            }
+          }
+          sched->activation_words(block, {}, {}, {});
+        }
+      }
+    }
+  }
+}
 
 /// "" when the two runs are identical field for field, else the first
 /// field that differs.
@@ -687,10 +758,10 @@ std::string first_result_difference(const sim::RunResult& a,
   return "";
 }
 
-TEST(CountActivations, OverrideAndDefaultLoopRunIdentically) {
+TEST(ActivationWords, OverrideAndDefaultLoopRunIdentically) {
   // Differential referee: the same semi-synchronous policy, once with
-  // its batched count_activations and once through a wrapper whose
-  // catch-up is the default per-round loop, over every materialized
+  // its activation_words override and once through a wrapper whose words
+  // come from the base class's activates() loop, over every materialized
   // family, four fairness bounds, and both stepping modes. A thrown
   // violation is an outcome too and must match by message.
   struct Case {
@@ -754,27 +825,26 @@ TEST(CountActivations, OverrideAndDefaultLoopRunIdentically) {
 }
 
 /// Counts the engine's scheduler traffic: per-round activates() calls,
-/// the rounds covered by count_activations() calls, and per slot how
-/// many rounds were evaluated either way and the last one.
+/// activation words requested, and (slot, block) requests made twice.
 class CountingScheduler final : public sim::Scheduler {
  public:
-  CountingScheduler(sim::Round fairness, std::size_t slots)
-      : evaluated(slots, 0), last(slots, 0), inner_(5, fairness) {}
+  explicit CountingScheduler(sim::Round fairness) : inner_(5, fairness) {}
   [[nodiscard]] std::string_view name() const override {
     return inner_.name();
   }
   [[nodiscard]] bool activates(sim::Round r, std::uint32_t slot,
                                sim::RobotId id) const override {
     ++activates_calls;
-    note(slot, r, r + 1);
     return inner_.activates(r, slot, id);
   }
-  [[nodiscard]] sim::Round count_activations(std::uint32_t slot,
-                                             sim::RobotId id, sim::Round begin,
-                                             sim::Round end) const override {
-    counted_rounds += end - begin;
-    note(slot, begin, end);
-    return inner_.count_activations(slot, id, begin, end);
+  void activation_words(sim::Round block, std::span<const std::uint32_t> slots,
+                        std::span<const sim::RobotId> ids,
+                        std::span<std::uint64_t> out) const override {
+    words += slots.size();
+    for (const std::uint32_t slot : slots) {
+      if (!requested_.emplace(slot, block).second) ++repeats;
+    }
+    inner_.activation_words(block, slots, ids, out);
   }
   [[nodiscard]] sim::Round fairness_bound() const override {
     return inner_.fairness_bound();
@@ -782,27 +852,19 @@ class CountingScheduler final : public sim::Scheduler {
 
   // Single-threaded test use only.
   mutable std::uint64_t activates_calls = 0;
-  mutable std::uint64_t counted_rounds = 0;
-  mutable std::vector<std::uint64_t> evaluated;
-  mutable std::vector<sim::Round> last;
+  mutable std::uint64_t words = 0;
+  mutable std::uint64_t repeats = 0;
 
  private:
-  void note(std::uint32_t slot, sim::Round begin, sim::Round end) const {
-    if (begin >= end) return;
-    evaluated[slot] += end - begin;
-    last[slot] = std::max(last[slot], end - 1);
-  }
-
+  mutable std::set<std::pair<std::uint32_t, sim::Round>> requested_;
   sim::SemiSynchronousScheduler inner_;
 };
 
-TEST(CountActivations, ClockCatchUpIsLinearInPopsNotElapsedRounds) {
+TEST(ActivationWords, ClockCatchUpIsLinearInPopsNotElapsedRounds) {
   // Complexity gate: sleepers that Stay 10000 local rounds at a time
-  // under fairness 4. The engine may consult activates() only at the
-  // rounds it pops a slot (at most `fairness` per decision: a suppressed
-  // pop defers one round, and no slot is suppressed `fairness` rounds
-  // running); everything else is batched, and no (slot, round) pair is
-  // evaluated twice.
+  // under fairness 4. Skip mode reads every clock and activation off the
+  // ledger: no activates() call at all, no (slot, block) requested
+  // twice, and at most one word per slot per 64 elapsed rounds.
   constexpr sim::Round kFairness = 4;
   constexpr std::size_t kSleepers = 3;
   class Sleeper final : public sim::Robot {
@@ -813,7 +875,7 @@ TEST(CountActivations, ClockCatchUpIsLinearInPopsNotElapsedRounds) {
       return sim::Action::stay_until_round(view.round + 10000);
     }
   };
-  const auto sched = std::make_shared<CountingScheduler>(kFairness, kSleepers);
+  const auto sched = std::make_shared<CountingScheduler>(kFairness);
   sim::EngineConfig cfg;
   cfg.hard_cap = 1'000'000;
   cfg.scheduler = sched;
@@ -825,18 +887,11 @@ TEST(CountActivations, ClockCatchUpIsLinearInPopsNotElapsedRounds) {
   }
   const sim::RunResult result = engine.run();
   ASSERT_TRUE(result.all_terminated);
-  const std::uint64_t slot_rounds = kSleepers * (result.metrics.rounds + 1);
   EXPECT_GT(result.metrics.rounds, 50000u);
-  EXPECT_LE(sched->activates_calls,
-            kFairness * result.metrics.decision_calls);
-  EXPECT_LT(100 * sched->activates_calls, slot_rounds);
-  EXPECT_GT(sched->counted_rounds, 0u);
-  EXPECT_LE(sched->counted_rounds, slot_rounds);
-  // Exactly once: every round up to the slot's last is evaluated, so
-  // a count equal to last + 1 leaves no room for a repeat.
-  for (std::size_t s = 0; s < kSleepers; ++s) {
-    EXPECT_EQ(sched->evaluated[s], sched->last[s] + 1) << "slot " << s;
-  }
+  EXPECT_EQ(sched->activates_calls, 0u);
+  EXPECT_EQ(sched->repeats, 0u);
+  EXPECT_GT(sched->words, 0u);
+  EXPECT_LE(sched->words, kSleepers * (result.metrics.rounds / 64 + 1));
 }
 
 // ---- crash-fault: freezing and detection soundness -----------------------
