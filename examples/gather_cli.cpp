@@ -187,8 +187,7 @@ constexpr std::pair<const char*, const char*> kSpecFlags[] = {
     {"uxs", "sequence"}, {"scheduler", "scheduler"},
     {"scheduler-params", "scheduler_params"}, {"delta-aware", "delta_aware"},
     {"known-distance", "known_min_pair_distance"}, {"seed", "seed"},
-    {"hard-cap", "hard_cap"}, {"decide-threads", "decide_threads"},
-    {"record", "trace_path"},
+    {"hard-cap", "hard_cap"}, {"record", "trace_path"},
     // sweep-only keys
     {"families", "families"}, {"sizes", "sizes"}, {"k-rules", "k_rules"},
     {"placements", "placements"}, {"algorithms", "algorithms"},
@@ -450,9 +449,6 @@ int main(int argc, char** argv) {
   cli.add_option("hard-cap", std::to_string(base.hard_cap),
                  "override the round cap (0 = derived; huge implicit "
                  "instances need a bounded probe)");
-  cli.add_option("decide-threads", std::to_string(base.decide_threads),
-                 "parallelize the decide phase (0/1 = serial; results "
-                 "are byte-identical at any value)");
   cli.add_option("record", "", "record the run as a binary trace file");
   cli.add_option("replay", "", "replay a binary trace file and exit");
   cli.add_flag("diff", "compare two trace files (positional args)");

@@ -62,9 +62,9 @@ extern "C" {
 /* Semantic version of the library; gather_version() returns the same
  * values at runtime, so an embedder can detect a header/library skew. */
 #define GATHER_VERSION_MAJOR 0
-#define GATHER_VERSION_MINOR 2
+#define GATHER_VERSION_MINOR 3
 #define GATHER_VERSION_PATCH 0
-#define GATHER_VERSION_STRING "0.2.0"
+#define GATHER_VERSION_STRING "0.3.0"
 
 #if defined(_WIN32)
 #define GATHER_API
@@ -148,7 +148,7 @@ GATHER_API void gather_free(char* buffer);
  * Valid until this thread's next libgather call. Never NULL. */
 GATHER_API const char* gather_last_error(void);
 
-/* Runtime library version, e.g. "0.2.0" (== GATHER_VERSION_STRING when
+/* Runtime library version, e.g. "0.3.0" (== GATHER_VERSION_STRING when
  * header and library match). */
 GATHER_API const char* gather_version(void);
 GATHER_API int gather_version_major(void);

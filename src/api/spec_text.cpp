@@ -118,8 +118,6 @@ bool apply_run_key(scenario::ScenarioSpec& spec, const Line& line) {
     spec.known_min_pair_distance = parse_int_value(line);
   } else if (line.key == "hard_cap") {
     spec.hard_cap = parse_uint_as<sim::Round>(line);
-  } else if (line.key == "decide_threads") {
-    spec.decide_threads = parse_uint_as<unsigned>(line);
   } else if (line.key == "trace_path") {
     spec.trace_path = line.value;
   } else {

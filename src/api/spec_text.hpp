@@ -33,7 +33,7 @@ namespace gather::api {
 /// family, family_params, placement, placement_params, labeling,
 /// algorithm, sequence, scheduler, scheduler_params, n, k,
 /// id_exponent_b, seed, delta_aware, known_min_pair_distance, hard_cap,
-/// decide_threads, trace_path.
+/// trace_path.
 [[nodiscard]] scenario::ScenarioSpec parse_run_spec(const std::string& text);
 
 /// Parse a sweep spec: all run-spec keys (the base point) plus the axis

@@ -29,25 +29,42 @@ struct BehaviorResult {
 };
 
 // ---- view scanning helpers ----------------------------------------------
-// All scans ignore terminated robots and the robot itself.
+// All scans ignore terminated robots and the robot itself. The view is
+// sorted by id (sim::RoundView), so id-keyed lookups are O(log k); the
+// group-id-keyed scans (min_other_group_id, min_group_finder) stay linear
+// because group ids are not sorted.
 
-/// Number of co-located robots other than `self` (terminated excluded).
-[[nodiscard]] inline std::size_t count_others(const RoundView& view,
-                                              RobotId self) {
-  std::size_t count = 0;
-  for (const RobotPublicState& s : view.colocated) {
-    if (s.id != self && s.tag != StateTag::Terminated) ++count;
-  }
-  return count;
+/// The co-located entry with the given id, terminated or not; nullptr if
+/// absent. Binary search over the id-sorted view.
+[[nodiscard]] inline const RobotPublicState* find_colocated(
+    const RoundView& view, RobotId id) {
+  const auto it = std::lower_bound(
+      view.colocated.begin(), view.colocated.end(), id,
+      [](const RobotPublicState& s, RobotId key) { return s.id < key; });
+  return it != view.colocated.end() && it->id == id ? &*it : nullptr;
 }
 
-/// Largest co-located robot id other than `self` (0 if none).
+/// True if a robot with the given id is co-located (and not terminated).
+[[nodiscard]] inline bool is_colocated(const RoundView& view, RobotId id) {
+  const RobotPublicState* s = find_colocated(view, id);
+  return s != nullptr && s->tag != StateTag::Terminated;
+}
+
+/// True if any co-located robot other than `self` is not terminated.
+[[nodiscard]] inline bool any_other_live(const RoundView& view, RobotId self) {
+  return std::any_of(view.colocated.begin(), view.colocated.end(),
+                     [self](const RobotPublicState& s) {
+                       return s.id != self && s.tag != StateTag::Terminated;
+                     });
+}
+
+/// Largest co-located robot id other than `self` (0 if none): the first
+/// live entry from the back of the id-sorted view.
 [[nodiscard]] inline RobotId max_other_id(const RoundView& view, RobotId self) {
-  RobotId best = 0;
-  for (const RobotPublicState& s : view.colocated) {
-    if (s.id != self && s.tag != StateTag::Terminated) best = std::max(best, s.id);
+  for (auto it = view.colocated.rbegin(); it != view.colocated.rend(); ++it) {
+    if (it->id != self && it->tag != StateTag::Terminated) return it->id;
   }
-  return best;
+  return 0;
 }
 
 /// Smallest group_id among co-located robots (excluding `self`) whose tag
@@ -76,14 +93,6 @@ struct BehaviorResult {
     }
   }
   return best;
-}
-
-/// True if a robot with the given id is co-located (and not terminated).
-[[nodiscard]] inline bool is_colocated(const RoundView& view, RobotId id) {
-  return std::any_of(view.colocated.begin(), view.colocated.end(),
-                     [id](const RobotPublicState& s) {
-                       return s.id == id && s.tag != StateTag::Terminated;
-                     });
 }
 
 }  // namespace gather::core

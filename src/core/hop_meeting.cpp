@@ -28,7 +28,7 @@ BehaviorResult HopMeetingBehavior::step(const RoundView& view) {
   GATHER_PROTOCOL(r >= start_ && r < end_);
 
   // "They meet and assemble there": freeze on any co-location.
-  if (frozen_ || count_others(view, self_) > 0) {
+  if (frozen_ || any_other_live(view, self_)) {
     frozen_ = true;
     return result(Action::stay_until_round(end_));
   }

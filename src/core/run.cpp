@@ -79,8 +79,6 @@ RunOutcome run_gathering(const graph::Topology& g,
   engine_config.naive_stepping = spec.naive_engine;
   engine_config.trace_recorder = spec.trace_recorder;
   engine_config.scheduler = spec.scheduler;
-  engine_config.decide_threads = spec.decide_threads;
-  engine_config.decide_min_active = spec.decide_min_active;
   engine_config.dense_node_limit = spec.dense_node_limit;
   sim::Engine engine(g, engine_config);
 

@@ -53,12 +53,6 @@ struct RunSpec {
   /// budgets; leaving it at 1 runs the paper's synchronous program, which
   /// breaks its protocol invariants under suppression.
   std::shared_ptr<const sim::Scheduler> scheduler;
-  /// Decide-phase worker threads for the engine (0/1 = serial; see
-  /// sim::EngineConfig::decide_threads — byte-identical at any value).
-  unsigned decide_threads = 0;
-  /// Minimum active-robot count before decide_threads kicks in
-  /// (sim::EngineConfig::decide_min_active). Tests pin the boundary.
-  std::size_t decide_min_active = sim::EngineConfig().decide_min_active;
   /// Dense/sparse crossover for the engine's per-node table
   /// (sim::EngineConfig::dense_node_limit). Tests force sparse mode.
   std::size_t dense_node_limit = sim::EngineConfig().dense_node_limit;

@@ -186,13 +186,12 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
     // Under suppression our captor may reach its termination deadline
     // while our clock still lags: it terminated at the gather node, so
     // park here with it (unreachable under synchrony — all clocks agree).
-    for (const RobotPublicState& s : view.colocated) {
-      if (s.id == followed_ && s.tag == StateTag::Terminated) {
-        followed_ = 0;
-        return result(Action::stay_until_round(end_));
-      }
+    const RobotPublicState* captor = find_colocated(view, followed_);
+    if (captor != nullptr && captor->tag == StateTag::Terminated) {
+      followed_ = 0;
+      return result(Action::stay_until_round(end_));
     }
-    if (!is_colocated(view, followed_)) {
+    if (captor == nullptr) {
       // Clock drift can let us capture onto a finder that is locally
       // still in phase 1 and then lose it to a token-drop move. Sound
       // recovery per Lemma 7's monotonicity: keep the (smaller) group

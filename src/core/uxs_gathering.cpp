@@ -46,10 +46,9 @@ BehaviorResult UxsGatheringBehavior::step(const RoundView& view) {
     // window first; its termination means it declared gathering complete
     // at this very node, so terminate with it. Unreachable under
     // synchrony (followers terminate with the leader in the same round).
-    for (const RobotPublicState& s : view.colocated) {
-      if (s.id == leader_ && s.tag == StateTag::Terminated) {
-        return result(Action::terminate());
-      }
+    const RobotPublicState* leader = find_colocated(view, leader_);
+    if (leader != nullptr && leader->tag == StateTag::Terminated) {
+      return result(Action::terminate());
     }
     if (biggest > leader_) leader_ = biggest;
     return result(Action::follow(leader_));

@@ -69,7 +69,6 @@ ResolvedScenario resolve_impl(const ScenarioSpec& spec, GraphCache* cache) {
   }
   r.run_spec.config.known_min_pair_distance = spec.known_min_pair_distance;
   r.run_spec.hard_cap = spec.hard_cap;
-  r.run_spec.decide_threads = spec.decide_threads;
   r.run_spec.scheduler = scheduler.factory(
       spec.k, spec.scheduler_params, sub_seed(spec.seed, SeedAxis::Scheduler));
   // The scheduler's fairness bound is common knowledge, like n: it is
@@ -132,10 +131,8 @@ std::string fingerprint(const ScenarioSpec& spec) {
   field("known_min_pair_distance",
         std::to_string(spec.known_min_pair_distance));
   field("hard_cap", std::to_string(spec.hard_cap));
-  // trace_path and decide_threads are deliberately absent: the first
-  // names where a trace goes, the second how the decide loop is
-  // scheduled — neither changes what the run does (decide_threads is
-  // byte-identical by the engine contract, pinned in tests).
+  // trace_path is deliberately absent: it names where a trace goes, not
+  // what the run does.
   return fp;
 }
 

@@ -53,12 +53,6 @@ struct ScenarioSpec {
   /// does, so it IS part of the fingerprint.
   sim::Round hard_cap = 0;
 
-  /// Engine decide-phase worker threads (0/1 = serial). An execution
-  /// strategy, not behavior: every value yields byte-identical runs
-  /// (sim::EngineConfig::decide_threads), so — like trace_path — it is
-  /// deliberately NOT part of the fingerprint.
-  unsigned decide_threads = 0;
-
   /// When non-empty, run_scenario() records the run as a binary trace
   /// (sim/trace.hpp) and writes it here — including a run aborted by a
   /// ProtocolViolation, whose trace is sealed with a violation terminal

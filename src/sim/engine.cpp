@@ -8,7 +8,6 @@
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
-#include "support/parallel_for.hpp"
 
 namespace gather::sim {
 
@@ -415,7 +414,6 @@ RunResult Engine::run() {
   }
   view_arena_.resize(num_slots);
   views_.resize(num_slots);
-  if (config_.decide_threads > 1) decide_bits_.assign(num_slots, 0);
   active_.reserve(num_slots);
   touched_nodes_.reserve(2 * num_slots);
   arrivals_.reserve(num_slots);  // each robot moves at most once per round
@@ -710,67 +708,46 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
 // most one per round) that the collection loop re-checks, and the
 // decision is recorded as the slot's standing order for the carry pass.
 template <int Mode>
-std::uint64_t Engine::decide_one(std::uint32_t s, Round r) {
-  RoundView view;
-  if constexpr (Mode == kClockDelayed) {
-    view.round = r - release_[s];
-  } else if constexpr (Mode == kClockLocal) {
-    view.round = local_[s];
-  } else {
-    view.round = r;
-  }
-  view.degree = degree_at(pos_[s]);
-  view.entry_port = entry_port_[s];
-  // Read-only lookup: the simulate_round pre-pass materialized every
-  // active node's view, so decide workers never touch the memo.
-  const ViewRef ref = view_cached(pos_[s], r);
-  view.colocated = {view_arena_.data() + ref.begin, ref.size};
-  // The robot receives every entry but its own. Its public state still
-  // equals its snapshot entry: only its own on_round (next) writes it.
-  const std::uint64_t bits = ref.bits - message_bits(robots_[s]->public_state());
-  decisions_[s] = robots_[s]->on_round(view);
-  if constexpr (Mode == kClockDelayed) {
-    if (decisions_[s].kind == ActionKind::Stay) {
-      decisions_[s].stay_until =
-          support::sat_add(decisions_[s].stay_until, release_[s]);
-    }
-  } else if constexpr (Mode == kClockLocal) {
-    standing_follow_[s] = decisions_[s].kind == ActionKind::Follow
-                              ? decisions_[s].leader
-                              : 0;
-    if (decisions_[s].kind == ActionKind::Stay) {
-      const Round until = decisions_[s].stay_until;
-      decided_stay_local_[s] = until;
-      decisions_[s].stay_until =
-          until > local_[s] ? support::sat_add(r, until - local_[s]) : r + 1;
-    }
-  }
-  decision_stamp_[s] = r;
-  return bits;
-}
-
-template <int Mode>
 void Engine::decide_all(Round r, RunMetrics& m) {
-  const std::size_t count = active_.size();
-  // Parallel fan-out: each robot reads the immutable round views and
-  // writes only its own slots, so partitioning is invisible; the two
-  // metric sums are reduced serially (below) in slot order, making the
-  // whole phase byte-identical to the serial loop at any thread count.
-  if (config_.decide_threads > 1 && count >= config_.decide_min_active) {
-    support::parallel_for_index(count, config_.decide_threads,
-                                [this, r](std::size_t i) {
-                                  decide_bits_[i] =
-                                      decide_one<Mode>(active_[i], r);
-                                });
-    std::uint64_t bits = 0;
-    for (std::size_t i = 0; i < count; ++i) bits += decide_bits_[i];
-    m.total_message_bits += bits;
-    m.decision_calls += count;
-    return;
-  }
   for (const std::uint32_t s : active_) {
-    m.total_message_bits += decide_one<Mode>(s, r);
+    RoundView view;
+    if constexpr (Mode == kClockDelayed) {
+      view.round = r - release_[s];
+    } else if constexpr (Mode == kClockLocal) {
+      view.round = local_[s];
+    } else {
+      view.round = r;
+    }
+    view.degree = degree_at(pos_[s]);
+    view.entry_port = entry_port_[s];
+    // Read-only lookup: the simulate_round pre-pass materialized every
+    // active node's view.
+    const ViewRef ref = view_cached(pos_[s], r);
+    view.colocated = {view_arena_.data() + ref.begin, ref.size};
+    // The robot receives every entry but its own. Its public state still
+    // equals its snapshot entry: only its own on_round (next) writes it.
+    const std::uint64_t bits =
+        ref.bits - message_bits(robots_[s]->public_state());
+    decisions_[s] = robots_[s]->on_round(view);
+    m.total_message_bits += bits;
     ++m.decision_calls;
+    if constexpr (Mode == kClockDelayed) {
+      if (decisions_[s].kind == ActionKind::Stay) {
+        decisions_[s].stay_until =
+            support::sat_add(decisions_[s].stay_until, release_[s]);
+      }
+    } else if constexpr (Mode == kClockLocal) {
+      standing_follow_[s] = decisions_[s].kind == ActionKind::Follow
+                                ? decisions_[s].leader
+                                : 0;
+      if (decisions_[s].kind == ActionKind::Stay) {
+        const Round until = decisions_[s].stay_until;
+        decided_stay_local_[s] = until;
+        decisions_[s].stay_until =
+            until > local_[s] ? support::sat_add(r, until - local_[s]) : r + 1;
+      }
+    }
+    decision_stamp_[s] = r;
   }
 }
 

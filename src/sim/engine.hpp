@@ -156,18 +156,6 @@ struct EngineConfig {
   /// Scheduling adversary (see sim/scheduler.hpp). Null is the paper's
   /// synchronous model, bit-identical to SynchronousScheduler.
   std::shared_ptr<const Scheduler> scheduler;
-  /// Decide-phase worker threads (0 or 1 = serial). Each robot's decision
-  /// reads the immutable round-stamped views and writes only its own SoA
-  /// slots, and the two per-round metric sums are commutative, so every
-  /// thread count yields byte-identical runs (pinned by
-  /// tests/implicit_graph_test.cpp and the TSan CI leg). The one caveat:
-  /// when several robots violate their protocol in the SAME round, which
-  /// violation's exception surfaces is unspecified under parallel decide.
-  unsigned decide_threads = 0;
-  /// Fan the decide loop out only at or above this many active robots —
-  /// below it the per-round thread spawn dominates the work. Exposed so
-  /// the boundary tests can force both paths.
-  std::size_t decide_min_active = 4096;
   /// Dense per-node bookkeeping at or below this node count; above it the
   /// engine switches to the O(robots) sparse node table (sim/node_table.hpp).
   /// Exposed so tests can force sparse mode on small graphs.
@@ -306,9 +294,6 @@ class Engine {
   /// slots_by_id_), so list order can be compared on 32-bit ranks.
   std::vector<std::uint32_t> label_rank_;
   std::vector<std::uint32_t> active_;
-  /// Parallel decide: per-active-index message-bit results, reduced
-  /// serially so the metric sum is order-identical to the serial path.
-  std::vector<std::uint64_t> decide_bits_;
 
   // ---- suppression-only scratch (sized in run(), unused otherwise) ------
   // The activation ledger (skip mode): ledger_block_ is the 64-round
@@ -332,8 +317,8 @@ class Engine {
   /// Materialize node's round-r view (and its bit sum) unless memoized.
   void build_view(NodeId node, Round r);
   /// Read-only lookup of a view already materialized for round r by the
-  /// simulate_round pre-pass — the decide phase's accessor, safe to call
-  /// from any decide worker thread (no memo writes).
+  /// simulate_round pre-pass — the decide phase's accessor (no memo
+  /// writes).
   [[nodiscard]] ViewRef view_cached(NodeId node, Round r) const;
   Action resolve_action(std::uint32_t slot, Round r);
 
@@ -341,12 +326,9 @@ class Engine {
   static constexpr int kClockSync = 0;
   static constexpr int kClockDelayed = 1;
   static constexpr int kClockLocal = 2;
+  /// Every active robot's decide step.
   template <int Mode>
   void decide_all(Round r, RunMetrics& m);
-  /// One robot's decide step; returns the message bits it received (the
-  /// caller owns the metric accumulation). Writes only slot-s state.
-  template <int Mode>
-  std::uint64_t decide_one(std::uint32_t s, Round r);
 
   /// Move the activation ledger to round r's block, requesting each
   /// crossed block's words for every live slot (skip mode under a

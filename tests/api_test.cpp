@@ -177,7 +177,7 @@ TEST(CAbiTest, SweepCsvMatchesSweepRunnerBytes) {
       "scheduler_params=fairness=3\n"
       "known_min_pair_distance=2\ndelta_aware=true\n"
       "seed=5\nseeds=1,18446744073709551\n"
-      "hard_cap=5000000\ndecide_threads=2\ntrace_path=ignored.trace\n"
+      "hard_cap=5000000\ntrace_path=ignored.trace\n"
       "threads=2\nsteal_chunk=1\nuse_result_cache=true\n";
   std::ifstream golden(std::string(GATHER_TEST_DATA_DIR) +
                        "/cli_sweep_parity.csv");
@@ -257,6 +257,15 @@ TEST(CAbiTest, BadSpecTextIsUsage) {
   EXPECT_EQ(gather_run_json(service.ptr, removed_line.c_str(), &json),
             GATHER_STATUS_USAGE);
   EXPECT_NE(std::string(gather_last_error()).find(removed_key),
+            std::string::npos)
+      << gather_last_error();
+  // The decide-phase thread count was removed in 0.3.0 (the serial
+  // decide loop outran the pool), so its key is a usage error too.
+  const std::string removed_knob = std::string("decide") + "_threads";
+  const std::string removed_knob_line = removed_knob + "=2\n";
+  EXPECT_EQ(gather_run_json(service.ptr, removed_knob_line.c_str(), &json),
+            GATHER_STATUS_USAGE);
+  EXPECT_NE(std::string(gather_last_error()).find(removed_knob),
             std::string::npos)
       << gather_last_error();
   EXPECT_EQ(gather_run_json(service.ptr, "not a key value line\n", &json),

@@ -4,9 +4,13 @@
 // §2.2 helper/waiter rules) independent of the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/behavior.hpp"
 #include "core/hop_meeting.hpp"
 #include "core/undispersed.hpp"
 #include "core/uxs_gathering.hpp"
+#include "support/rng.hpp"
 #include "uxs/uxs.hpp"
 
 namespace gather::core {
@@ -34,6 +38,58 @@ RobotPublicState state(RobotId id, StateTag tag, RobotId gid) {
   s.tag = tag;
   s.group_id = gid;
   return s;
+}
+
+// ---- view helpers vs linear references ----------------------------------
+
+// The id-keyed helpers search the id-sorted view (binary search, or a
+// walk from the back); each must agree with a plain linear scan on every
+// id: present, absent, below and above the view, the robot itself, and
+// terminated entries.
+TEST(ViewHelpers, MatchLinearReferenceOnRandomSortedViews) {
+  support::Xoshiro256 rng(2023);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t size = rng.below(12);  // 0..11 entries
+    std::vector<RobotPublicState> entries;
+    RobotId id = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      id += 1 + static_cast<RobotId>(rng.below(3));  // gaps = absent ids
+      const StateTag tag =
+          rng.below(3) == 0 ? StateTag::Terminated : StateTag::Helper;
+      entries.push_back(state(id, tag, 1 + static_cast<RobotId>(rng.below(4))));
+    }
+    const RoundView view = make_view(0, 2, &entries);
+    // Every id from 0 through one past the last, so the first and last
+    // positions, the gaps and both out-of-range ends are all queried.
+    for (RobotId query = 0; query <= id + 1; ++query) {
+      const auto linear = std::find_if(
+          entries.begin(), entries.end(),
+          [query](const RobotPublicState& s) { return s.id == query; });
+      const RobotPublicState* found = find_colocated(view, query);
+      if (linear == entries.end()) {
+        EXPECT_EQ(found, nullptr) << "trial " << trial << " id " << query;
+      } else {
+        EXPECT_EQ(found, &*linear) << "trial " << trial << " id " << query;
+      }
+      EXPECT_EQ(is_colocated(view, query),
+                linear != entries.end() &&
+                    linear->tag != StateTag::Terminated)
+          << "trial " << trial << " id " << query;
+
+      // `query` as the robot itself (present in the view or not).
+      std::size_t others = 0;
+      RobotId max_other = 0;
+      for (const RobotPublicState& s : entries) {
+        if (s.id == query || s.tag == StateTag::Terminated) continue;
+        ++others;
+        max_other = std::max(max_other, s.id);
+      }
+      EXPECT_EQ(any_other_live(view, query), others > 0)
+          << "trial " << trial << " self " << query;
+      EXPECT_EQ(max_other_id(view, query), max_other)
+          << "trial " << trial << " self " << query;
+    }
+  }
 }
 
 // ---- UndispersedBehavior: role assignment and helper/waiter rules -------

@@ -48,7 +48,7 @@ run_cli(0 sweep.stdout --sweep
   --scheduler-params=fairness=3
   --known-distance=2 --delta-aware
   --seed=5 --seeds=1,18446744073709551
-  --hard-cap=5000000 --decide-threads=2 --record=ignored.trace
+  --hard-cap=5000000 --record=ignored.trace
   --threads=2 --steal-chunk=1 --cache --cache-stats
   --trace-dir=traces --format=csv --out=sweep.csv)
 expect_same(${DATA}/cli_sweep_parity.csv sweep.csv)
@@ -63,7 +63,7 @@ run_cli(0 run.stdout
   --labeling=sequential --uxs=covering
   --scheduler=crash-fault --scheduler-params=crashes=0,window=8
   --known-distance=2 --delta-aware --seed=7
-  --hard-cap=5000000 --decide-threads=2
+  --hard-cap=5000000
   --record=run.trace --timeline --dot=run.dot --save-graph=run.graph)
 expect_same(${DATA}/cli_run_every_flag.txt run.stdout)
 

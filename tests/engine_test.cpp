@@ -458,9 +458,8 @@ TEST(Engine, NoMessagesWhenAlone) {
 // the message-bit sum and the occupancy splice dominate. The pinned
 // values were captured before the engine computed per-view bit sums and
 // spliced arrivals in one batch; every execution strategy (skip or naive
-// stepping, dense or sparse node table, serial or parallel decide) must
-// reproduce them exactly. The semi-synchronous pin sends carried robots
-// through the same splice.
+// stepping, dense or sparse node table) must reproduce them exactly. The
+// semi-synchronous pin sends carried robots through the same splice.
 
 struct CrowdedPin {
   const char* family;
@@ -485,17 +484,13 @@ constexpr CrowdedPin kCrowdedPins[] = {
      168396, 0},
 };
 
-enum class Strategy { Skip, Naive, Sparse, ParallelDecide };
+enum class Strategy { Skip, Naive, Sparse };
 
 core::RunOutcome run_crowded(const scenario::ResolvedScenario& r,
                              Strategy strategy) {
   core::RunSpec spec = r.run_spec;
   spec.naive_engine = strategy == Strategy::Naive;
   if (strategy == Strategy::Sparse) spec.dense_node_limit = 0;
-  if (strategy == Strategy::ParallelDecide) {
-    spec.decide_threads = 4;
-    spec.decide_min_active = 1;
-  }
   return core::run_gathering(*r.graph, r.placement, spec);
 }
 
@@ -512,9 +507,8 @@ TEST(EngineCrowded, OneNodeRunsMatchPinsUnderEveryStrategy) {
       spec.scheduler_params.set("fairness", std::to_string(pin.fairness));
     }
     const scenario::ResolvedScenario r = scenario::resolve(spec);
-    for (const Strategy strategy : {Strategy::Skip, Strategy::Naive,
-                                    Strategy::Sparse,
-                                    Strategy::ParallelDecide}) {
+    for (const Strategy strategy :
+         {Strategy::Skip, Strategy::Naive, Strategy::Sparse}) {
       const std::string label = std::string(pin.family) + " n=" +
                                 std::to_string(pin.n) + " k=" +
                                 std::to_string(pin.k) + " fairness=" +

@@ -1,5 +1,4 @@
-// Differential referee for the implicit topologies and the parallel
-// decide phase.
+// Differential referee for the implicit topologies.
 //
 //  1. Structural identity: for every (v, port) of small instances, the
 //     closed-form ImplicitGraph must reproduce the materialized
@@ -14,12 +13,9 @@
 //     whether the topology is materialized or implicit.
 //  3. Record→replay round trip through the binary trace subsystem on an
 //     implicit-topology run.
-//  4. Parallel decide phase: thread counts {1,2,3,8} and the serial
-//     fallback are bit-identical on a 10^4-robot implicit-grid swarm;
-//     the activation threshold only selects the execution strategy.
-//  5. 32-bit index audit regressions: n·deg near 2^32 fails loudly with
+//  4. 32-bit index audit regressions: n·deg near 2^32 fails loudly with
 //     EngineInvariantError, never wraps.
-//  6. O(robots) memory: a gathering scenario runs on an implicit grid
+//  5. O(robots) memory: a gathering scenario runs on an implicit grid
 //     with n = 10^6 nodes; sparse and dense node-table modes are
 //     bit-identical.
 #include <gtest/gtest.h>
@@ -260,69 +256,7 @@ TEST(ImplicitExecution, RecordReplayRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- 4. parallel decide phase -----------------------------------------
-
-// One resolved big-swarm point, run with engine overrides. The swarm is
-// 10^4 robots dispersed on an implicit grid of 10^6 nodes; the hard cap
-// keeps the probe bounded (determinism needs many decisions, not
-// convergence). Resolved once — every run re-executes from the same
-// instance with different engine strategy knobs.
-const scenario::ResolvedScenario& big_swarm_point() {
-  static const scenario::ResolvedScenario r = [] {
-    scenario::ScenarioSpec spec;
-    spec.family = "implicit-grid";
-    spec.n = 1000 * 1000;
-    spec.k = 10'000;
-    spec.placement = "dispersed";
-    spec.sequence = "lazy";
-    spec.seed = 3;
-    spec.hard_cap = 24;
-    return scenario::resolve(spec);
-  }();
-  return r;
-}
-
-core::RunOutcome run_big_swarm(unsigned decide_threads,
-                               std::size_t decide_min_active,
-                               std::size_t dense_node_limit) {
-  const scenario::ResolvedScenario& r = big_swarm_point();
-  core::RunSpec run_spec = r.run_spec;
-  run_spec.decide_threads = decide_threads;
-  run_spec.decide_min_active = decide_min_active;
-  run_spec.dense_node_limit = dense_node_limit;
-  return core::run_gathering(*r.graph, r.placement, run_spec);
-}
-
-TEST(ParallelDecide, BitIdenticalAcrossThreadCounts) {
-  const core::RunOutcome serial =
-      run_big_swarm(/*decide_threads=*/0, /*decide_min_active=*/1,
-                    sim::NodeTable::kDefaultDenseLimit);
-  ASSERT_NE(serial.result.metrics.trace_hash, 0u);
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    const core::RunOutcome parallel = run_big_swarm(
-        threads, /*decide_min_active=*/1, sim::NodeTable::kDefaultDenseLimit);
-    expect_same_outcome(serial, parallel,
-                        "decide_threads=" + std::to_string(threads));
-  }
-}
-
-TEST(ParallelDecide, ThresholdOnlySelectsExecutionStrategy) {
-  // Above / below / at the activation boundary: the cutoff decides
-  // whether workers spawn, never what the robots do.
-  const core::RunOutcome below = run_big_swarm(
-      /*decide_threads=*/4, /*decide_min_active=*/10'001,  // k < cutoff: serial
-      sim::NodeTable::kDefaultDenseLimit);
-  const core::RunOutcome at = run_big_swarm(
-      /*decide_threads=*/4, /*decide_min_active=*/10'000,  // k == cutoff
-      sim::NodeTable::kDefaultDenseLimit);
-  const core::RunOutcome above = run_big_swarm(
-      /*decide_threads=*/4, /*decide_min_active=*/1,
-      sim::NodeTable::kDefaultDenseLimit);
-  expect_same_outcome(below, at, "threshold boundary (== cutoff)");
-  expect_same_outcome(below, above, "threshold boundary (parallel)");
-}
-
-// ---- 5. 32-bit index audit --------------------------------------------
+// ---- 4. 32-bit index audit --------------------------------------------
 
 TEST(IndexAudit, NearOverflowFailsLoudly) {
   // 65536 * 65536 = 2^32 overflows NodeId (and collides with the
@@ -344,7 +278,7 @@ TEST(IndexAudit, BuilderRejectsOversizedMaterialization) {
                EngineInvariantError);
 }
 
-// ---- 6. O(robots) engine memory ---------------------------------------
+// ---- 5. O(robots) engine memory ---------------------------------------
 
 TEST(SparseNodeTable, SparseAndDenseModesAreBitIdentical) {
   // Same scenario, node table forced sparse (dense_node_limit=1) vs the

@@ -233,11 +233,6 @@ TEST(FingerprintTest, SeparatesSpecsAndIgnoresTracePath) {
   other = spec;
   other.trace_path = "/tmp/somewhere.trace";
   EXPECT_EQ(base, fingerprint(other));
-  // decide_threads is execution strategy: byte-identical results by
-  // construction, so the memo must treat all thread counts as one key.
-  other = spec;
-  other.decide_threads = 8;
-  EXPECT_EQ(base, fingerprint(other));
 }
 
 // ---- determinism stress: the executor/cache torture grid ----
