@@ -82,4 +82,29 @@ run_cli(2 newline.stdout "--labeling=random\nseed=1")
 run_cli(2 carriage.stdout "--params=\rn=5")
 run_cli(2 sweep_only.stdout --seeds=1,2)
 
+# Semi-synchronous sweeps, the engine's skip machinery under suppression:
+# the 16 pure families from adversarial and one-node starts at fairness
+# 2..5 under a 400,000-round cap (capped rows included), then the
+# uncapped fairness-4 seed-42 grid of the ssync-sweep benchmark. The five
+# CSVs are concatenated and compared with one golden, so `rounds` and
+# `message_bits` of every row are pinned whatever the engine skips.
+set(ssync_families "ring,path,complete,star,grid,torus,hypercube,binary-tree,lollipop,barbell,caterpillar,wheel,bipartite,tree,random,regular")
+set(ssync_csv "")
+foreach(fairness 2 3 4 5)
+  run_cli(0 ssync_f${fairness}.stdout --sweep "--families=${ssync_families}"
+    --sizes=12 --k-rules=4 --placements=adversarial,one-node
+    --schedulers=semi-synchronous --scheduler-params=fairness=${fairness}
+    --seeds=1,2,3 --hard-cap=400000 --threads=2
+    --out=ssync_f${fairness}.csv)
+  file(READ "${WORK}/ssync_f${fairness}.csv" part)
+  string(APPEND ssync_csv "${part}")
+endforeach()
+run_cli(0 ssync_bench.stdout --sweep "--families=${ssync_families}"
+  --sizes=12 --k-rules=4 --schedulers=semi-synchronous --seeds=42
+  --threads=2 --out=ssync_bench.csv)
+file(READ "${WORK}/ssync_bench.csv" part)
+string(APPEND ssync_csv "${part}")
+file(WRITE "${WORK}/ssync_sweep.csv" "${ssync_csv}")
+expect_same(${DATA}/ssync_sweep_parity.csv ssync_sweep.csv)
+
 file(REMOVE_RECURSE "${WORK}")
