@@ -8,9 +8,12 @@
 #include "support/rng.hpp"
 
 // Function multiversioning for the semi-synchronous coin kernels: one
-// source compiled for AVX-512F, AVX2 and baseline x86-64, one of them
+// source compiled for AVX-512, AVX2 and baseline x86-64, one of them
 // picked at load time by an ifunc resolver. The kernels are integer
-// math only, so every clone computes the same bits. Off under
+// math only, so every clone computes the same bits. gcc builds the
+// AVX-512 clone for x86-64-v4, whose AVX512DQ has a vector 64-bit
+// multiply (vpmullq) for the SplitMix rounds; gcc rejects a bare
+// "avx512dq" clone, and clang keeps the plain AVX512F one. Off under
 // ThreadSanitizer, whose runtime is not initialized yet when the
 // resolver runs (the process crashes at startup).
 #if defined(__SANITIZE_THREAD__)
@@ -22,9 +25,12 @@
 #endif
 #if defined(__x86_64__) && defined(__has_attribute) && \
     !defined(GATHER_NO_TARGET_CLONES)
-#if __has_attribute(target_clones)
+#if __has_attribute(target_clones) && defined(__clang__)
 #define GATHER_TARGET_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
+#elif __has_attribute(target_clones)
+#define GATHER_TARGET_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #endif
 #endif
 #ifndef GATHER_TARGET_CLONES
@@ -67,10 +73,16 @@ void coin_words(const std::uint64_t* keys, const std::uint32_t* slots,
     // A 64-bit counter: with a 32-bit one the shift below has no vector
     // form and the loop stays scalar.
     for (std::uint64_t j = 0; j < Scheduler::kWordRounds; ++j) {
-      const std::uint64_t bit =
-          support::SplitMix64(support::hash_combine(keys[j], slot)).next() &
-          1;
-      word |= bit << j;
+      // SplitMix64(h).next() & 1, spelled out: the coin is bit 0 of
+      // z ^ (z >> 31) for the last product z, so only bits 0 and 31 of
+      // that product matter, and they depend only on the low 32 bits of
+      // both factors. A 32 x 32 -> 64-bit multiply computes them.
+      std::uint64_t z = support::hash_combine(keys[j], slot) +
+                        0x9e3779b97f4a7c15ULL;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z ^= z >> 27;
+      const std::uint64_t low = (z & 0xffffffffULL) * 0x133111ebULL;
+      word |= ((low ^ (low >> 31)) & 1) << j;
     }
     out[i] = word;
   }
