@@ -1,5 +1,7 @@
 #include "core/robots.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
 
 namespace gather::core {
@@ -10,10 +12,17 @@ FasterGatheringRobot::FasterGatheringRobot(RobotId id, AlgorithmConfig config)
     : sim::Robot(id), config_(std::move(config)),
       sched_(Schedule::make(config_)) {}
 
-Action FasterGatheringRobot::apply(const BehaviorResult& r) {
+Action FasterGatheringRobot::apply(const BehaviorResult& r,
+                                   Round detect_round) {
   set_tag(r.tag);
   set_group_id(r.group_id);
-  return r.action;
+  Action action = r.action;
+  // A stage's behavior cannot promise past the stage's detection round,
+  // where on_round answers for itself.
+  if (action.kind == sim::ActionKind::Follow) {
+    action.stay_until = std::min(action.stay_until, detect_round);
+  }
+  return action;
 }
 
 void FasterGatheringRobot::note_map_memory() {
@@ -60,7 +69,7 @@ Action FasterGatheringRobot::on_round(const RoundView& view) {
       if (!ug_.has_value()) {
         ug_.emplace(id(), config_.n, stage.start, config_.fairness);
       }
-      return apply(ug_->step(view));
+      return apply(ug_->step(view), detect_round);
     }
 
     case StageKind::HopThenUndispersed: {
@@ -73,19 +82,19 @@ Action FasterGatheringRobot::on_round(const RoundView& view) {
           hop_.emplace(id(), stage.hop, stage.start, sched_.cycle_len(stage.hop),
                        sched_.maxbits());
         }
-        return apply(hop_->step(view));
+        return apply(hop_->step(view), detect_round);
       }
       if (!ug_.has_value()) {
         ug_.emplace(id(), config_.n, ug_start, config_.fairness);
       }
-      return apply(ug_->step(view));
+      return apply(ug_->step(view), detect_round);
     }
 
     case StageKind::UxsGathering: {
       if (!uxs_.has_value()) {
         uxs_.emplace(id(), config_.sequence, stage.start, config_.fairness);
       }
-      return apply(uxs_->step(view));
+      return apply(uxs_->step(view), sim::kNoRound);
     }
   }
   throw ContractViolation("unhandled stage kind");

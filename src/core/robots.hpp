@@ -43,7 +43,9 @@ class FasterGatheringRobot final : public sim::Robot {
   std::optional<UxsGatheringBehavior> uxs_;
   std::uint64_t peak_map_bits_ = 0;
 
-  Action apply(const BehaviorResult& r);
+  /// Publish the behavior's tag and group id; clamp a Follow's promise
+  /// deadline to the stage's detection round.
+  Action apply(const BehaviorResult& r, Round detect_round);
   Action detection(const RoundView& view, Round next_stage_start);
   void note_map_memory();
 };

@@ -133,7 +133,7 @@ BehaviorResult UndispersedBehavior::finder_step(const RoundView& view) {
       role_ = Role::Helper;
       group_id_ = finder->group_id;
       followed_ = finder->id;
-      return result(Action::follow(followed_));
+      return result(Action::follow(followed_, end_));
     }
     // The minimum belongs to a helper: park here with its groupid.
     role_ = Role::Helper;
@@ -168,19 +168,24 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
   if (r < phase2_) {
     // ---- Phase 1: act as the finder's movable token ----------------------
     // Mirror the finder whenever it is co-located; its take_followers flag
-    // decides whether the token moves or is left behind.
+    // decides whether the token moves or is left behind. Nothing here
+    // changes before phase 2 unless the view does, so the Follow promises
+    // to stand until then (sim/action.hpp).
     if (is_colocated(view, group_id_)) {
-      return result(Action::follow(group_id_));
+      return result(Action::follow(group_id_, phase2_));
     }
     return result(Action::stay_until_round(phase2_));
   }
 
   // ---- Phase 2: stay until captured by a smaller-groupid finder ---------
   const auto finder = min_group_finder(view, self_);
+  // Both Follows below stand until end_ while the view is unchanged: the
+  // capture is not repeated once group_id_ is the captor's, and the
+  // captor checks read only the view.
   if (finder.has_value() && finder->group_id < group_id_) {
     group_id_ = finder->group_id;
     followed_ = finder->id;
-    return result(Action::follow(followed_));
+    return result(Action::follow(followed_, end_));
   }
   if (followed_ != 0) {
     // Under suppression our captor may reach its termination deadline
@@ -203,7 +208,7 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
     }
     // Keep mirroring the robot we were captured by (it may itself have
     // parked, in which case we park with it).
-    return result(Action::follow(followed_));
+    return result(Action::follow(followed_, end_));
   }
   return result(Action::stay_until_round(end_));
 }

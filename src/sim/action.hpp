@@ -9,9 +9,16 @@
 // in the robot's LOCAL time (RoundView::round — activations since
 // release); the engine owns the translation to global wake rounds.
 //
-// `Follow{leader}` models the face-to-face message "I am moving through
-// port p, come along" from a co-located leader: the follower's action
-// resolves to the leader's action in the same round. A Move with
+// `Follow{leader, until}` models the face-to-face message "I am moving
+// through port p, come along" from a co-located leader: the follower's
+// action resolves to the leader's action in the same round. `until`
+// (reusing `stay_until`, LOCAL time, 0 = none) is the follower's own
+// promise: while the occupancy of its node and the public states of the
+// robots there stay unchanged, every consult before local round `until`
+// returns this same Follow and changes no robot state. Under a
+// suppressing scheduler the skipping engine then sleeps the follower
+// until its leader's wake or that deadline, whichever comes first,
+// instead of re-consulting it at every activated round. A Move with
 // take_followers == false is how a finder *leaves its token behind*
 // during map construction (§2.2 Phase 1).
 #pragma once
@@ -26,7 +33,8 @@ enum class ActionKind : std::uint8_t { Stay, Move, Follow, Terminate };
 
 struct Action {
   ActionKind kind = ActionKind::Stay;
-  Round stay_until = 0;        ///< Stay: wake deadline (robot-local round)
+  /// Stay: wake deadline; Follow: promise deadline (both robot-local)
+  Round stay_until = 0;
   Port port = kNoPort;         ///< Move: exit port
   bool take_followers = true;  ///< Move: do co-located followers come along?
   RobotId leader = 0;          ///< Follow: co-located robot to mirror
@@ -51,10 +59,13 @@ struct Action {
     return a;
   }
 
-  [[nodiscard]] static Action follow(RobotId leader) {
+  /// Mirror `leader`; `until` > 0 promises the same decision before
+  /// local round `until` while the node's view stays unchanged.
+  [[nodiscard]] static Action follow(RobotId leader, Round until = 0) {
     Action a;
     a.kind = ActionKind::Follow;
     a.leader = leader;
+    a.stay_until = until;
     return a;
   }
 

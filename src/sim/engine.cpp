@@ -56,6 +56,7 @@ Engine::Engine(const graph::Topology& graph, EngineConfig config)
   rec_ = config_.trace_recorder;
   prof_ = config_.profile;
   suppressing_ = sched_ != nullptr && sched_->fairness_bound() > 0;
+  follow_sleeps_ = suppressing_ && !config_.naive_stepping && rec_ == nullptr;
 }
 
 void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
@@ -65,10 +66,6 @@ void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
   GATHER_EXPECTS(robots_.size() < static_cast<std::size_t>(kNoSlot));
   const RobotId id = robot->id();
   GATHER_EXPECTS(id >= 1);
-  const auto it = std::lower_bound(
-      slots_by_id_.begin(), slots_by_id_.end(), id,
-      [this](std::uint32_t s, RobotId target) { return ids_[s] < target; });
-  GATHER_EXPECTS(it == slots_by_id_.end() || ids_[*it] != id);
 
   const auto slot = static_cast<std::uint32_t>(robots_.size());
   const Round release = sched_ != nullptr ? sched_->release_round(slot, id) : 0;
@@ -92,12 +89,37 @@ void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
   sleep_target_.push_back(kNoRound);
   standing_follow_.push_back(0);
   occ_next_.push_back(kNoSlot);
-  slots_by_id_.insert(it, slot);
+  // The label index and the occupant lists are built once, in run().
 
-  occupants_insert(start, slot);
   // A delayed robot's first wake deadline is its release round; until
   // then it is dormant (present, Init-tagged, never activated).
   heap_push(release, slot);
+}
+
+void Engine::index_robots() {
+  // One sort by label gives the label index (duplicates end up adjacent)
+  // and the label ranks; pushing the slots onto their start nodes' lists
+  // in descending label order leaves every list sorted by label. O(k log
+  // k) for k robots, where inserting one robot at a time was O(k^2) on a
+  // crowded start node.
+  const auto num_slots = static_cast<std::uint32_t>(ids_.size());
+  slots_by_id_.resize(num_slots);
+  for (std::uint32_t s = 0; s < num_slots; ++s) slots_by_id_[s] = s;
+  std::sort(slots_by_id_.begin(), slots_by_id_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return ids_[a] < ids_[b];
+            });
+  label_rank_.assign(num_slots, 0);
+  for (std::uint32_t rank = num_slots; rank-- > 0;) {
+    const std::uint32_t slot = slots_by_id_[rank];
+    // Labels must be unique.
+    GATHER_EXPECTS(rank + 1 == num_slots ||
+                   ids_[slot] != ids_[slots_by_id_[rank + 1]]);
+    label_rank_[slot] = rank;
+    std::uint32_t& head = nodes_.ref(pos_[slot]).head;
+    occ_next_[slot] = head;
+    head = slot;
+  }
 }
 
 NodeId Engine::position_of(RobotId id) const { return pos_[slot_of(id)]; }
@@ -279,15 +301,41 @@ std::size_t Engine::apply_carried(Round r, RunResult& result) {
   return carried_.size();
 }
 
-void Engine::occupants_insert(NodeId node, std::uint32_t slot) {
-  // Splice into the node's list keeping label order (views are sorted).
-  // Only add_robot inserts one robot at a time; the round loop moves
-  // robots through splice_arrivals.
-  const RobotId id = ids_[slot];
-  std::uint32_t* link = &nodes_.ref(node).head;
-  while (*link != kNoSlot && ids_[*link] < id) link = &occ_next_[*link];
-  occ_next_[slot] = *link;
-  *link = slot;
+void Engine::settle_follow_sleeps(Round end, RunMetrics& m) {
+  constexpr Round kWordRounds = Scheduler::kWordRounds;
+  const auto num_slots = static_cast<std::uint32_t>(ids_.size());
+  const auto pending = [this](std::uint32_t s) {
+    return terminated_[s] == 0 && credit_bits_[s] != 0;
+  };
+  bool any = false;
+  for (std::uint32_t s = 0; s < num_slots && !any; ++s) any = pending(s);
+  if (!any) return;
+  // The ledger must hold the block of the last round the run reached. A
+  // slot that crashed earlier kept the word of its last live block.
+  if (end != kNoRound) advance_ledger(end - 1);
+  for (std::uint32_t s = 0; s < num_slots; ++s) {
+    if (!pending(s)) continue;
+    // Only a crash ends a sleep when the run ran out of live robots.
+    const Round stop = std::min(end, crash_at_[s]);
+    GATHER_INVARIANT(stop != kNoRound);
+    const Round held = (stop - 1) / kWordRounds * kWordRounds;
+    const Round width = stop - held;  // in [1, 64]
+    const std::uint64_t mask = width == kWordRounds
+                                   ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << width) - 1;
+    const Round local =
+        clock_base_[s] +
+        static_cast<Round>(std::popcount(clock_word_[s] & mask));
+    const Round skipped = local - credit_base_[s];
+    if (skipped == 0) continue;
+    m.total_message_bits += skipped * credit_bits_[s];
+    if (prof_ != nullptr) prof_->skipped_polls += skipped;
+    // Each skipped poll was a simulated round; the fairness bound keeps
+    // this walk back to the last one short.
+    Round last = stop - 1;
+    while (!sched_->activates(last, s, ids_[s])) --last;
+    m.rounds = std::max(m.rounds, last);
+  }
 }
 
 void Engine::queue_arrival(std::uint32_t slot, NodeId from, NodeId to,
@@ -385,6 +433,7 @@ RunResult Engine::run() {
   GATHER_EXPECTS(!ran_);
   GATHER_EXPECTS(!robots_.empty());
   ran_ = true;
+  index_robots();
 
   RunResult result;
   auto& m = result.metrics;
@@ -407,6 +456,12 @@ RunResult Engine::run() {
       ledger_words_.assign(num_slots, 0);
     }
     decided_stay_local_.assign(num_slots, 0);
+    follow_wake_.assign(num_slots, kNoRound);
+    if (follow_sleeps_) {
+      credit_base_.assign(num_slots, 0);
+      credit_bits_.assign(num_slots, 0);
+      changed_nodes_.reserve(num_slots);
+    }
     carry_stamp_.assign(num_slots, kNoRound);
     carry_has_.assign(num_slots, 0);
     carry_edge_.assign(num_slots, graph::HalfEdge{});
@@ -417,8 +472,6 @@ RunResult Engine::run() {
   active_.reserve(num_slots);
   touched_nodes_.reserve(2 * num_slots);
   arrivals_.reserve(num_slots);  // each robot moves at most once per round
-  label_rank_.assign(num_slots, 0);
-  for (std::uint32_t i = 0; i < num_slots; ++i) label_rank_[slots_by_id_[i]] = i;
   nodes_.reserve(num_slots);
   heap_.reserve(4 * num_slots);
   // A slot enters the next-round bucket at most twice per round (a
@@ -436,6 +489,7 @@ RunResult Engine::run() {
   std::size_t alive = num_slots;
   Round r = 0;
   bool first_round = true;
+  Round stopped_at = kNoRound;  ///< the round stop_when_gathered ended at
 
   // Hoisted scheduler gates: locals stay in registers across the round
   // loop (the members would be reloaded after every opaque robot call),
@@ -476,15 +530,20 @@ RunResult Engine::run() {
         // Conservative wake, re-check on activation: read the local clock
         // off the ledger; if a sleep deadline is pending and local time
         // still lags it (suppressed rounds did not tick), push the wake
-        // out by the remaining deficit.
+        // out by the remaining deficit. A follow sleep also ends at its
+        // leader's wake: the leader may move then, and the follower must
+        // be consulted if activated, as it is in every activated round
+        // while it polls.
         const Round bit = r % Scheduler::kWordRounds;
         const std::uint64_t word = clock_word_[slot];
         local_[slot] = clock_base_[slot] +
                        static_cast<Round>(std::popcount(
                            word & ((std::uint64_t{1} << bit) - 1)));
-        if (sleep_target_[slot] != kNoRound &&
-            local_[slot] < sleep_target_[slot]) {
-          heap_push(support::sat_add(r, sleep_target_[slot] - local_[slot]),
+        const Round target = sleep_target_[slot];
+        if (target != kNoRound && local_[slot] < target &&
+            r < follow_wake_[slot]) {
+          heap_push(std::min(follow_wake_[slot],
+                             support::sat_add(r, target - local_[slot])),
                     slot);
           return;
         }
@@ -585,9 +644,19 @@ RunResult Engine::run() {
         m.first_gathered == kNoRound && all_colocated()) {
       m.first_gathered = r;
     }
-    if (config_.stop_when_gathered && m.first_gathered != kNoRound) break;
+    if (config_.stop_when_gathered && m.first_gathered != kNoRound) {
+      stopped_at = r;
+      break;
+    }
   }
   // gather-lint: hot-path-end(round-loop)
+
+  if (follow_sleeps_) {
+    Round end = kNoRound;
+    if (result.hit_round_cap) end = support::sat_add(config_.hard_cap, 1);
+    if (stopped_at != kNoRound) end = stopped_at + 1;
+    settle_follow_sleeps(end, m);
+  }
 
   result.all_terminated = true;
   for (std::uint32_t s = 0; s < num_slots; ++s) {
@@ -665,17 +734,14 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
       throw EngineInvariantError("robot follows non-co-located leader");
     if (terminated_[leader] != 0)
       throw EngineInvariantError("robot follows terminated leader");
-    if (any_crash_ && r >= crash_at_[leader]) {
-      // A crashed leader does nothing; the follower stays put and
-      // re-decides next round. (Resolved here rather than through the
-      // implicit-stay branch because a crashed slot's wake deadline is
-      // meaningless and differs between stepping modes.)
-      resolve_mark_[s] = 0;
-      resolved_[s] = Action::stay_one(r);
-      resolved_stamp_[s] = r;
-      return resolved_[s];
-    }
-    const Action leader_action = resolve_action(leader, r);
+    const Action leader_action =
+        any_crash_ && r >= crash_at_[leader]
+            // A crashed leader does nothing; the follower stays put and
+            // re-decides next round. (Resolved here rather than through
+            // the implicit-stay branch because a crashed slot's wake
+            // deadline is meaningless and differs between stepping modes.)
+            ? Action::stay_one(r)
+            : resolve_action(leader, r);
     switch (leader_action.kind) {
       case ActionKind::Move:
         out = leader_action.take_followers
@@ -691,6 +757,13 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
       case ActionKind::Follow:
         GATHER_INVARIANT(!"unreachable: resolve returns concrete actions");
         break;
+    }
+    if (suppressing_ && out.kind == ActionKind::Stay) {
+      // Under suppression the follower sleeps until its leader's wake or
+      // its own translated promise deadline (decide_all), whichever is
+      // first; a follower of this one inherits that earlier wake.
+      follow_wake_[s] = out.stay_until;
+      out.stay_until = std::min(out.stay_until, decisions_[s].stay_until);
     }
   }
   resolve_mark_[s] = 0;
@@ -726,24 +799,42 @@ void Engine::decide_all(Round r, RunMetrics& m) {
     view.colocated = {view_arena_.data() + ref.begin, ref.size};
     // The robot receives every entry but its own. Its public state still
     // equals its snapshot entry: only its own on_round (next) writes it.
-    const std::uint64_t bits =
-        ref.bits - message_bits(robots_[s]->public_state());
+    const RobotPublicState before = robots_[s]->public_state();
+    const std::uint64_t bits = ref.bits - message_bits(before);
     decisions_[s] = robots_[s]->on_round(view);
     m.total_message_bits += bits;
     ++m.decision_calls;
+    Action& d = decisions_[s];
     if constexpr (Mode == kClockDelayed) {
-      if (decisions_[s].kind == ActionKind::Stay) {
-        decisions_[s].stay_until =
-            support::sat_add(decisions_[s].stay_until, release_[s]);
+      if (d.kind == ActionKind::Stay) {
+        d.stay_until = support::sat_add(d.stay_until, release_[s]);
       }
     } else if constexpr (Mode == kClockLocal) {
-      standing_follow_[s] = decisions_[s].kind == ActionKind::Follow
-                                ? decisions_[s].leader
-                                : 0;
-      if (decisions_[s].kind == ActionKind::Stay) {
-        const Round until = decisions_[s].stay_until;
+      const bool follow = d.kind == ActionKind::Follow;
+      standing_follow_[s] = follow ? d.leader : 0;
+      if (follow_sleeps_) {
+        // Settle the polls skipped since the last Follow (each activation
+        // in between would have been a consult with these same bits),
+        // then open this decision's credit.
+        if (credit_bits_[s] != 0) {
+          const Round skipped = local_[s] - credit_base_[s];
+          m.total_message_bits += skipped * credit_bits_[s];
+          if (prof_ != nullptr) prof_->skipped_polls += skipped;
+        }
+        credit_base_[s] = local_[s] + 1;
+        credit_bits_[s] = follow ? bits : 0;
+        const RobotPublicState& after = robots_[s]->public_state();
+        if (after.tag != before.tag || after.group_id != before.group_id) {
+          changed_nodes_.push_back(pos_[s]);
+        }
+      }
+      if (d.kind == ActionKind::Stay || follow) {
+        // Translate the local deadline to a conservative global wake. A
+        // Follow's promise counts only where follows may sleep; without
+        // one it wakes the follower for the next round.
+        const Round until = follow && !follow_sleeps_ ? 0 : d.stay_until;
         decided_stay_local_[s] = until;
-        decisions_[s].stay_until =
+        d.stay_until =
             until > local_[s] ? support::sat_add(r, until - local_[s]) : r + 1;
       }
     }
@@ -832,26 +923,15 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
       }
       case ActionKind::Stay: {
         if (suppressing) {
+          // The local deadline the wake machinery re-checks on admission
+          // (conservative wake): the robot's own Stay{until}, or the
+          // promise of a Follow that resolved to a stay, whose sleep also
+          // ends at the leader's wake (follow_wake_, set by
+          // resolve_action). A follower without a promise sleeps until
+          // the next round and is consulted at every activated round.
+          sleep_target_[s] = decided_stay_local_[s];
           if (decisions_[s].kind == ActionKind::Stay) {
-            // The robot's OWN Stay carries a local deadline the wake
-            // machinery re-checks on pop (conservative wake).
-            sleep_target_[s] = decided_stay_local_[s];
-          } else {
-            // Follow-adopted stay. The leader's wake is a GLOBAL round;
-            // under suppression the follower's local clock drifts
-            // against it, so sleeping until then could consult the
-            // follower PAST a local deadline its program must observe
-            // exactly (naive stepping consults it every activated round
-            // and never skips one). Defer one round instead: the
-            // follower is re-consulted at every activated round while
-            // it keeps choosing Follow — matching naive consult rounds.
-            sleep_target_[s] = kNoRound;
-            if (!config_.naive_stepping) {
-              heap_push(r + 1, s);
-            } else {
-              wake_[s] = r + 1;
-            }
-            break;
+            follow_wake_[s] = kNoRound;
           }
         }
         if (!config_.naive_stepping) {
@@ -871,6 +951,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         hash_word(m.trace_hash, ~r);
         hash_word(m.trace_hash, ids_[s]);
         if (rec_ != nullptr) rec_->record_terminate(s);
+        if (follow_sleeps_) changed_nodes_.push_back(pos_[s]);
         break;
       }
       case ActionKind::Follow:
@@ -914,6 +995,25 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
       }
     }
   }
+
+  // ---- public-state-change wakeups (follow sleeps only) -------------------
+  // A follower's promise holds only while its view is unchanged, and a
+  // changed tag or group id changes the view from round r+1. Stay
+  // sleepers are left asleep: their promise covers the occupancy only.
+  for (const NodeId node : changed_nodes_) {
+    const NodeRec* rec = nodes_.find(node);
+    if (rec == nullptr) continue;  // sparse mode: node emptied by a move
+    for (std::uint32_t occ = rec->head; occ != kNoSlot; occ = occ_next_[occ]) {
+      if (terminated_[occ] != 0 || sleep_target_[occ] == kNoRound ||
+          follow_wake_[occ] == kNoRound || wake_[occ] <= r + 1) {
+        continue;
+      }
+      if (any_crash_ && r + 1 >= crash_at_[occ]) continue;
+      sleep_target_[occ] = kNoRound;
+      heap_push(r + 1, occ);
+    }
+  }
+  changed_nodes_.clear();
 
   return movers;
 }

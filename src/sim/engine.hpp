@@ -52,6 +52,23 @@
 //    provably unreachable there and the synchronous instruction stream
 //    is unchanged.
 //
+//  * Follow sleeps (skip mode under suppression). A Follow that resolves
+//    to a stay sleeps until the earlier of its leader's wake (a global
+//    round, where the follower is consulted if activated, since the
+//    leader may move then) and the conservative global round of the
+//    follower's own promise deadline (Action::follow's `until`, checked
+//    like a Stay deadline). Occupancy changes, carries, and a consult or
+//    termination that changes a public state at the node wake it early.
+//    Every activated round it sleeps through is a *skipped poll*: its
+//    promise says that consult would have repeated the Follow, so the
+//    run credits the poll's message bits at the follower's next consult
+//    (or its crash, or the end of the run, which also raises `rounds` to
+//    its last skipped poll). The outputs are those of an engine that
+//    polls every follower at every activated round; decision_calls and
+//    simulated_rounds count only real consults. Naive stepping and a
+//    run with a trace recorder (whose trace lists every poll) keep
+//    polling.
+//
 //  * Scheduler hooks off the hot path. Adversary features are gated by
 //    booleans cached at add_robot time (any delay? any crash? does this
 //    scheduler suppress?), so a synchronous run executes the same
@@ -132,6 +149,12 @@ struct EngineProfile {
   /// block, and the 64-round blocks they were requested for.
   std::uint64_t activation_words = 0;
   std::uint64_t ledger_blocks = 0;
+  /// Follow sleeps (suppressing schedulers, skip mode): activated rounds
+  /// at which a sleeping follower was not consulted. Its promise says
+  /// each such consult would have repeated its Follow, so the run
+  /// credits their message bits; decision_calls + skipped_polls is the
+  /// consult count of an engine that polls followers every activation.
+  std::uint64_t skipped_polls = 0;
 };
 
 struct EngineConfig {
@@ -170,14 +193,14 @@ class Engine {
   Engine(const graph::Topology& graph, EngineConfig config);
 
   /// Register a robot at its start node. All robots must be added before
-  /// run(); labels must be unique.
+  /// run(); labels must be unique (run() rejects a repeated one).
   void add_robot(std::unique_ptr<Robot> robot, NodeId start);
 
   /// Execute until every robot has terminated, the hard cap is reached,
   /// or no robot can ever act again (contract violation).
   [[nodiscard]] RunResult run();
 
-  /// Adversary-view position of a robot (tests/oracles only).
+  /// Adversary-view position of a robot (tests/oracles only; after run()).
   [[nodiscard]] NodeId position_of(RobotId id) const;
 
  private:
@@ -213,6 +236,9 @@ class Engine {
   bool any_delay_ = false;
   bool any_crash_ = false;
   bool suppressing_ = false;
+  /// Follows may sleep on their promise: skip mode under a suppressing
+  /// scheduler with no trace recorder (a trace records every poll).
+  bool follow_sleeps_ = false;
 
   // ---- flat per-slot state (SoA), indexed by add_robot order -----------
   std::vector<std::unique_ptr<Robot>> robots_;  ///< cold: ownership + vtable
@@ -236,15 +262,26 @@ class Engine {
   /// decided: ticked per round in naive mode, read from the ledger at
   /// admission in skip mode.
   std::vector<Round> local_;
-  /// Pending Stay deadline in LOCAL time (kNoRound = none). Any forced
-  /// wake (occupancy change, carry) clears it so the robot re-decides.
+  /// Pending sleep deadline in LOCAL time (kNoRound = none): a Stay's
+  /// deadline, or the promise deadline of a Follow (0 = none). Any forced
+  /// wake (occupancy change, carry, a follow sleeper's view change)
+  /// clears it so the robot re-decides.
   std::vector<Round> sleep_target_;
+  /// Follow sleep: the global wake of the leader, at which the sleeper is
+  /// consulted whatever its own deadline (kNoRound for a Stay sleep).
+  std::vector<Round> follow_wake_;
+  /// Skipped-poll credit of the slot's last Follow: the local round of
+  /// its first skippable consult and the message bits of each (0 = none
+  /// pending). Settled at the slot's next consult or at the end of run().
+  std::vector<Round> credit_base_;
+  std::vector<std::uint64_t> credit_bits_;
   /// Leader named by the slot's most recent decision if that decision
   /// was Follow (0 = none) — the standing order the carry pass executes.
   std::vector<RobotId> standing_follow_;
 
   /// Slot indices sorted by label — the label→slot index (binary search;
-  /// labels are sparse in [1, n^b], so no direct-indexed table).
+  /// labels are sparse in [1, n^b], so no direct-indexed table). Built
+  /// by run().
   std::vector<std::uint32_t> slots_by_id_;
 
   // ---- node occupancy: intrusive lists sorted by label ------------------
@@ -309,6 +346,9 @@ class Engine {
   std::vector<RobotId> ledger_ids_;
   std::vector<std::uint64_t> ledger_words_;
   std::vector<Round> decided_stay_local_;  ///< pre-translation Stay deadline
+  /// Nodes where a consult or a termination changed a public state this
+  /// round: their follow sleepers wake for the next round.
+  std::vector<NodeId> changed_nodes_;
   std::vector<std::uint32_t> carried_;     ///< slots carried this round
   std::vector<Round> carry_stamp_;         ///< memo stamp for resolve_carry
   std::vector<std::uint8_t> carry_has_;
@@ -342,6 +382,10 @@ class Engine {
   /// against pre-move positions / apply their moves after the active set.
   void collect_carried(Round r);
   std::size_t apply_carried(Round r, RunResult& result);
+  /// End of run: credit every follow sleeper's activations before `end`
+  /// (exclusive; kNoRound = the run ran out of live robots) or its crash,
+  /// and raise rounds to the last of them.
+  void settle_follow_sleeps(Round end, RunMetrics& m);
 
   /// Schedule slot's wake: the bucket if round is soon_round_, else the
   /// heap unless the slot's entry for that round is still queued.
@@ -351,7 +395,10 @@ class Engine {
   /// Remove the heap's top entry (and its pending_ mark).
   void heap_pop();
 
-  void occupants_insert(NodeId node, std::uint32_t slot);
+  /// Sort the slots by label into slots_by_id_ and label_rank_, reject a
+  /// repeated label, and link every start node's label-sorted occupant
+  /// list (run(), once).
+  void index_robots();
   /// Record a round-r move for splice_arrivals (pos_ is updated by the
   /// caller) and list its source node in touched_nodes_ once.
   void queue_arrival(std::uint32_t slot, NodeId from, NodeId to, Round r);

@@ -5,16 +5,20 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 
 #include "core/robots.hpp"
 #include "core/run.hpp"
+#include "core/schedule.hpp"
 #include "graph/generators.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
+#include "support/parallel_for.hpp"
 
 namespace gather::sim {
 namespace {
@@ -318,9 +322,10 @@ TEST(Engine, RejectsDuplicateIds) {
   Engine engine(g, config_with_cap(10));
   auto idle = [](ScriptedRobot&, const RoundView&) { return Action::terminate(); };
   engine.add_robot(std::make_unique<ScriptedRobot>(1, idle), 0);
-  EXPECT_THROW(
-      engine.add_robot(std::make_unique<ScriptedRobot>(1, idle), 1),
-      ContractViolation);
+  // add_robot only appends; run() indexes the labels and rejects the
+  // repeat before any round.
+  engine.add_robot(std::make_unique<ScriptedRobot>(1, idle), 1);
+  EXPECT_THROW((void)engine.run(), ContractViolation);
 }
 
 TEST(Engine, RejectsInvalidMovePort) {
@@ -664,6 +669,205 @@ TEST(EngineProfile, SuppressedSleepersReadClocksFromTheLedger) {
   EXPECT_EQ(skip.ledger_blocks, 125u);
   EXPECT_EQ(skip.activation_words, 375u);
   EXPECT_EQ(profiles[1].ledger_blocks + profiles[1].activation_words, 0u);
+}
+
+/// One Faster-Gathering run of a resolved scenario with the engine's
+/// profile attached. A trace recorder turns follow sleeps off, so the
+/// recorded run is the reference that polls every follower at every
+/// activated round. A thrown violation is an outcome, kept by message.
+struct ProfiledRun {
+  RunResult result;
+  EngineProfile profile;
+  std::string error;
+};
+
+ProfiledRun run_profiled(const scenario::ResolvedScenario& r, Round cap,
+                         std::shared_ptr<const Scheduler> scheduler,
+                         bool record) {
+  ProfiledRun out;
+  TraceRecorder recorder;
+  EngineConfig cfg = config_with_cap(cap);
+  cfg.scheduler = std::move(scheduler);
+  cfg.profile = &out.profile;
+  if (record) cfg.trace_recorder = &recorder;
+  Engine engine(*r.graph, cfg);
+  for (const graph::RobotStart& start : r.placement) {
+    engine.add_robot(std::make_unique<core::FasterGatheringRobot>(
+                         start.label, r.run_spec.config),
+                     start.node);
+  }
+  try {
+    out.result = engine.run();
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// "" when the sleeping run reproduces the polling run's outputs and its
+/// consults plus skipped polls equal the polling run's consults.
+std::string follow_sleep_difference(const ProfiledRun& polling,
+                                    const ProfiledRun& sleeping) {
+  if (polling.error != sleeping.error) return "error";
+  if (!polling.error.empty()) return "";
+  const RunResult& a = polling.result;
+  const RunResult& b = sleeping.result;
+  const RunMetrics& x = a.metrics;
+  const RunMetrics& y = b.metrics;
+  if (x.trace_hash != y.trace_hash) return "trace_hash";
+  if (x.rounds != y.rounds) return "rounds";
+  if (x.first_gathered != y.first_gathered) return "first_gathered";
+  if (x.first_termination != y.first_termination) return "first_termination";
+  if (x.last_termination != y.last_termination) return "last_termination";
+  if (x.moves_per_robot != y.moves_per_robot) return "moves_per_robot";
+  if (x.total_message_bits != y.total_message_bits) return "message_bits";
+  if (x.decision_calls != y.decision_calls + sleeping.profile.skipped_polls) {
+    return "decision_calls + skipped_polls";
+  }
+  if (polling.profile.skipped_polls != 0) return "recorded run skipped";
+  if (a.hit_round_cap != b.hit_round_cap) return "hit_round_cap";
+  if (a.all_terminated != b.all_terminated) return "all_terminated";
+  if (a.gathered_at_end != b.gathered_at_end) return "gathered_at_end";
+  if (a.false_announcement != b.false_announcement) return "false_announcement";
+  return "";
+}
+
+TEST(EngineProfile, FollowSleepsSkipMostPollsAndCreditThem) {
+  // torus n=12, k=4, one-node start, semi-synchronous fairness 4, seed 1.
+  // The engine that polled followers at every activated round made
+  // 106,651 decisions and counted 3,827,167 message bits here. Followers
+  // now sleep on their promise: at least 90% of those consults become
+  // skipped polls, and their bits are credited exactly.
+  constexpr std::uint64_t kPollingDecisions = 106651;
+  constexpr std::uint64_t kMessageBits = 3827167;
+  scenario::ScenarioSpec spec;
+  spec.family = "torus";
+  spec.n = 12;
+  spec.k = 4;
+  spec.placement = "one-node";
+  spec.scheduler = "semi-synchronous";
+  spec.scheduler_params.set("fairness", "4");
+  spec.seed = 1;
+  const scenario::ResolvedScenario r = scenario::resolve(spec);
+  const Round cap = r.run_spec.scheduler->extend_cap(
+      core::Schedule::make(r.run_spec.config).hard_cap());
+  const ProfiledRun run = run_profiled(r, cap, r.run_spec.scheduler, false);
+  ASSERT_EQ(run.error, "");
+  const RunMetrics& m = run.result.metrics;
+  EXPECT_EQ(m.decision_calls + run.profile.skipped_polls, kPollingDecisions);
+  EXPECT_LE(m.decision_calls, kPollingDecisions / 10);
+  EXPECT_EQ(m.total_message_bits, kMessageBits);
+}
+
+/// A semi-synchronous scheduler whose robots also crash at given rounds:
+/// no registered adversary does both, but a follow sleep must settle its
+/// skipped polls when the sleeper crashes.
+class CrashingSemiSynchronous final : public Scheduler {
+ public:
+  CrashingSemiSynchronous(std::uint64_t seed, Round fairness,
+                          std::vector<Round> crash_at)
+      : inner_(seed, fairness), crash_at_(std::move(crash_at)) {}
+  [[nodiscard]] std::string_view name() const override { return "test"; }
+  [[nodiscard]] Round crash_round(std::uint32_t slot, RobotId) const override {
+    return slot < crash_at_.size() ? crash_at_[slot] : kNoRound;
+  }
+  [[nodiscard]] bool activates(Round r, std::uint32_t slot,
+                               RobotId id) const override {
+    return inner_.activates(r, slot, id);
+  }
+  void activation_words(Round block, std::span<const std::uint32_t> slots,
+                        std::span<const RobotId> ids,
+                        std::span<std::uint64_t> out) const override {
+    inner_.activation_words(block, slots, ids, out);
+  }
+  [[nodiscard]] Round fairness_bound() const override {
+    return inner_.fairness_bound();
+  }
+
+ private:
+  SemiSynchronousScheduler inner_;
+  std::vector<Round> crash_at_;
+};
+
+TEST(FollowSleeps, ReproducePollingRunsUnderSuppression) {
+  // Differential referee for follow sleeps: every pure family from
+  // adversarial and one-node starts at fairness 2..5, under a cap that
+  // ends most runs mid-schedule (so the cap's crediting of rounds and
+  // bits is exercised), run once polling and once sleeping.
+  struct Case {
+    std::string family;
+    std::string placement;
+    Round fairness;
+    std::uint64_t seed;
+  };
+  std::vector<Case> cases;
+  for (const char* family :
+       {"ring", "path", "complete", "star", "grid", "torus", "hypercube",
+        "binary-tree", "lollipop", "barbell", "caterpillar", "wheel",
+        "bipartite", "tree", "random", "regular"}) {
+    for (const char* placement : {"adversarial", "one-node"}) {
+      for (const Round fairness : {2u, 3u, 4u, 5u}) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+          cases.push_back({family, placement, fairness, seed});
+        }
+      }
+    }
+  }
+  std::vector<std::string> failures(cases.size());
+  support::parallel_for_index(
+      cases.size(), support::default_thread_count(), [&](std::size_t i) {
+        const Case& c = cases[i];
+        scenario::ScenarioSpec spec;
+        spec.family = c.family;
+        spec.n = 12;
+        spec.k = 4;
+        spec.placement = c.placement;
+        spec.scheduler = "semi-synchronous";
+        spec.scheduler_params.set("fairness", std::to_string(c.fairness));
+        spec.seed = c.seed;
+        const scenario::ResolvedScenario r = scenario::resolve(spec);
+        const auto& sched = r.run_spec.scheduler;
+        const std::string diff = follow_sleep_difference(
+            run_profiled(r, 300000, sched, true),
+            run_profiled(r, 300000, sched, false));
+        if (!diff.empty()) {
+          failures[i] = c.family + "/" + c.placement + " fairness " +
+                        std::to_string(c.fairness) + " seed " +
+                        std::to_string(c.seed) + ": " + diff;
+        }
+      });
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+}
+
+TEST(FollowSleeps, CrashedSleepersSettleTheirPolls) {
+  // One-node starts: three helpers follow a finder through phase 1. One
+  // helper crashes while it sleeps on its promise, at rounds on and off
+  // the 64-round ledger blocks.
+  std::vector<std::string> failures;
+  for (const char* family : {"ring", "torus", "star"}) {
+    for (const Round crash : {4097u, 8192u, 30000u, 123457u}) {
+      scenario::ScenarioSpec spec;
+      spec.family = family;
+      spec.n = 12;
+      spec.k = 4;
+      spec.placement = "one-node";
+      spec.scheduler = "semi-synchronous";
+      spec.scheduler_params.set("fairness", "3");
+      spec.seed = 5;
+      const scenario::ResolvedScenario r = scenario::resolve(spec);
+      const auto sched = std::make_shared<CrashingSemiSynchronous>(
+          5, 3, std::vector<Round>{kNoRound, kNoRound, crash});
+      const ProfiledRun sleeping = run_profiled(r, 400000, sched, false);
+      const std::string diff = follow_sleep_difference(
+          run_profiled(r, 400000, sched, true), sleeping);
+      if (!diff.empty() || sleeping.profile.skipped_polls == 0) {
+        failures.push_back(std::string(family) + " crash " +
+                           std::to_string(crash) + ": " +
+                           (diff.empty() ? "nothing skipped" : diff));
+      }
+    }
+  }
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
 }
 
 TEST(EngineOccupancy, ViewsStaySortedByLabelThroughEverySplicePath) {
