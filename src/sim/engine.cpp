@@ -304,17 +304,15 @@ std::size_t Engine::apply_carried(Round r, RunResult& result) {
 void Engine::settle_follow_sleeps(Round end, RunMetrics& m) {
   constexpr Round kWordRounds = Scheduler::kWordRounds;
   const auto num_slots = static_cast<std::uint32_t>(ids_.size());
-  const auto pending = [this](std::uint32_t s) {
-    return terminated_[s] == 0 && credit_bits_[s] != 0;
-  };
-  bool any = false;
-  for (std::uint32_t s = 0; s < num_slots && !any; ++s) any = pending(s);
-  if (!any) return;
-  // The ledger must hold the block of the last round the run reached. A
-  // slot that crashed earlier kept the word of its last live block.
-  if (end != kNoRound) advance_ledger(end - 1);
+  bool ledger_at_end = end == kNoRound;
   for (std::uint32_t s = 0; s < num_slots; ++s) {
-    if (!pending(s)) continue;
+    if (terminated_[s] != 0 || credit_bits_[s] == 0) continue;
+    // The ledger must hold the block of the last round the run reached.
+    // A slot that crashed earlier kept the word of its last live block.
+    if (!ledger_at_end) {
+      advance_ledger(end - 1);
+      ledger_at_end = true;
+    }
     // Only a crash ends a sleep when the run ran out of live robots.
     const Round stop = std::min(end, crash_at_[s]);
     GATHER_INVARIANT(stop != kNoRound);

@@ -839,6 +839,56 @@ TEST(FollowSleeps, ReproducePollingRunsUnderSuppression) {
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
 }
 
+TEST(FollowSleeps, PublicStateChangesWakeSleepingFollowers) {
+  // Three robots share a ring node under semi-synchronous fairness 3. The
+  // leader sleeps; the follower mirrors it with a promise to local round
+  // 3000 that holds only while the watcher looks unchanged. Nobody moves
+  // when the watcher changes its tag (or terminates) at local round 100,
+  // so only the public-state wake lets the sleeping follower leave at its
+  // next activation, as it does when it is polled.
+  const graph::Graph g = graph::make_ring(5);
+  for (const bool terminate : {false, true}) {
+    const auto leader = [](ScriptedRobot&, const RoundView& view) {
+      if (view.round >= 4000) return Action::terminate();
+      return Action::stay_until_round(4000);
+    };
+    const auto follower = [](ScriptedRobot&, const RoundView& view) {
+      if (view.colocated.size() == 1) return Action::terminate();
+      for (const RobotPublicState& s : view.colocated) {
+        if (s.id == 3 && s.tag != StateTag::Init) return Action::move(0);
+      }
+      return Action::follow(1, 3000);
+    };
+    const auto watcher = [terminate](ScriptedRobot& self,
+                                     const RoundView& view) {
+      if (view.round >= 5000 || (terminate && view.round >= 100)) {
+        return Action::terminate();
+      }
+      if (view.round >= 100) {
+        self.set_tag(StateTag::Finder);
+        return Action::stay_until_round(5000);
+      }
+      return Action::stay_until_round(100);
+    };
+    ProfiledRun runs[2];
+    for (int record = 0; record < 2; ++record) {
+      TraceRecorder recorder;
+      EngineConfig cfg = config_with_cap(100000);
+      cfg.scheduler = std::make_shared<SemiSynchronousScheduler>(11, 3);
+      cfg.profile = &runs[record].profile;
+      if (record == 0) cfg.trace_recorder = &recorder;
+      Engine engine(g, cfg);
+      engine.add_robot(std::make_unique<ScriptedRobot>(1, leader), 0);
+      engine.add_robot(std::make_unique<ScriptedRobot>(2, follower), 0);
+      engine.add_robot(std::make_unique<ScriptedRobot>(3, watcher), 0);
+      runs[record].result = engine.run();
+      ASSERT_TRUE(runs[record].result.all_terminated) << terminate;
+    }
+    EXPECT_EQ(follow_sleep_difference(runs[0], runs[1]), "") << terminate;
+    EXPECT_GT(runs[1].profile.skipped_polls, 0u) << terminate;
+  }
+}
+
 TEST(FollowSleeps, CrashedSleepersSettleTheirPolls) {
   // One-node starts: three helpers follow a finder through phase 1. One
   // helper crashes while it sleeps on its promise, at rounds on and off
