@@ -458,7 +458,9 @@ RunResult Engine::run() {
     if (follow_sleeps_) {
       credit_base_.assign(num_slots, 0);
       credit_bits_.assign(num_slots, 0);
-      changed_nodes_.reserve(num_slots);
+      // A slot is listed at most twice a round: its consult changed its
+      // state, and it terminated.
+      changed_nodes_.reserve(2 * num_slots);
     }
     carry_stamp_.assign(num_slots, kNoRound);
     carry_has_.assign(num_slots, 0);
