@@ -99,9 +99,8 @@ void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
 void Engine::index_robots() {
   // One sort by label gives the label index (duplicates end up adjacent)
   // and the label ranks; pushing the slots onto their start nodes' lists
-  // in descending label order leaves every list sorted by label. O(k log
-  // k) for k robots, where inserting one robot at a time was O(k^2) on a
-  // crowded start node.
+  // in descending label order leaves every list sorted by label, so a
+  // crowded start node costs O(k log k), not a list walk per robot.
   const auto num_slots = static_cast<std::uint32_t>(ids_.size());
   slots_by_id_.resize(num_slots);
   for (std::uint32_t s = 0; s < num_slots; ++s) slots_by_id_[s] = s;
@@ -316,8 +315,8 @@ void Engine::settle_follow_sleeps(Round end, RunMetrics& m) {
     // Only a crash ends a sleep when the run ran out of live robots.
     const Round stop = std::min(end, crash_at_[s]);
     GATHER_INVARIANT(stop != kNoRound);
-    const Round held = (stop - 1) / kWordRounds * kWordRounds;
-    const Round width = stop - held;  // in [1, 64]
+    const Round block_start = (stop - 1) / kWordRounds * kWordRounds;
+    const Round width = stop - block_start;  // in [1, 64]
     const std::uint64_t mask = width == kWordRounds
                                    ? ~std::uint64_t{0}
                                    : (std::uint64_t{1} << width) - 1;
