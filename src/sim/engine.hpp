@@ -103,8 +103,7 @@
 // that goes back to sleep until the same deadline revives its queued
 // entry instead of pushing a second one. It outgrows its reserve only
 // if slots keep re-sleeping to ever new deadlines before the old ones
-// are popped, which follow sleepers do while their leader's wake moves
-// (a peak of 97 entries for 4 robots on the seed-42 SSYNC wheel run).
+// are popped.
 //
 // Layer contract (umbrella for src/sim/): the execution model and the
 // robot/oracle boundary. The engine holds the whole-graph view; robots
