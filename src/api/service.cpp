@@ -16,11 +16,6 @@ Service::Service(const Config& config)
               or_default(config.result_cache_capacity,
                          scenario::ResultCache().capacity())) {}
 
-std::shared_ptr<const graph::Topology> Service::resolve_graph(
-    const scenario::ScenarioSpec& spec) {
-  return scenario::resolve_graph(spec, caches_.graphs);
-}
-
 scenario::ResolvedScenario Service::resolve(const scenario::ScenarioSpec& spec) {
   return scenario::resolve(spec, caches_.graphs);
 }

@@ -74,10 +74,6 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Resolve the spec's graph through this context's graph cache.
-  [[nodiscard]] std::shared_ptr<const graph::Topology> resolve_graph(
-      const scenario::ScenarioSpec& spec);
-
   /// Resolve the full instance through this context's graph cache.
   [[nodiscard]] scenario::ResolvedScenario resolve(
       const scenario::ScenarioSpec& spec);

@@ -56,8 +56,6 @@ class UndispersedGatheringRobot final : public sim::Robot {
 
   [[nodiscard]] Action on_round(const RoundView& view) override;
 
-  /// R(n) — the unconditional termination round.
-  [[nodiscard]] Round termination_round() const noexcept { return end_; }
   [[nodiscard]] std::uint64_t map_bits() const {
     return ug_.map_memory_bits();
   }

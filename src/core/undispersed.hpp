@@ -59,7 +59,6 @@ class UndispersedBehavior {
   /// Peak map memory (bits) — 0 for non-finders.
   [[nodiscard]] std::uint64_t map_memory_bits() const;
 
-  [[nodiscard]] Round start_round() const noexcept { return start_; }
   [[nodiscard]] Round phase2_round() const noexcept { return phase2_; }
   [[nodiscard]] Round end_round() const noexcept { return end_; }
 

@@ -1,6 +1,5 @@
 #include "graph/spanning_tree.hpp"
 
-#include <algorithm>
 #include <queue>
 
 #include "graph/algorithms.hpp"
@@ -37,84 +36,6 @@ SpanningTree bfs_spanning_tree(const Graph& g, NodeId root) {
   }
   GATHER_ENSURES(reached == n);
   return tree;
-}
-
-namespace {
-
-/// children[v] = tree children of v sorted by parent-side port.
-std::vector<std::vector<NodeId>> children_by_port(const Graph& g,
-                                                  const SpanningTree& tree) {
-  std::vector<std::vector<NodeId>> children(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (v == tree.root) continue;
-    children[tree.parent[v]].push_back(v);
-  }
-  for (auto& kids : children) {
-    std::sort(kids.begin(), kids.end(), [&](NodeId a, NodeId b) {
-      return tree.port_from_parent[a] < tree.port_from_parent[b];
-    });
-  }
-  return children;
-}
-
-}  // namespace
-
-std::vector<Port> euler_tour_ports(const Graph& g, const SpanningTree& tree) {
-  const auto children = children_by_port(g, tree);
-  std::vector<Port> ports;
-  ports.reserve(2 * (g.num_nodes() - 1));
-  // Iterative DFS emitting the down-port when entering a child and the
-  // up-port when leaving it.
-  struct Frame {
-    NodeId node;
-    std::size_t next_child;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({tree.root, 0});
-  while (!stack.empty()) {
-    Frame& top = stack.back();
-    if (top.next_child < children[top.node].size()) {
-      const NodeId child = children[top.node][top.next_child];
-      ++top.next_child;
-      ports.push_back(tree.port_from_parent[child]);
-      stack.push_back({child, 0});
-    } else {
-      if (top.node != tree.root) ports.push_back(tree.port_to_parent[top.node]);
-      stack.pop_back();
-    }
-  }
-  GATHER_ENSURES(ports.size() == 2 * (g.num_nodes() - 1));
-  return ports;
-}
-
-std::vector<Port> tree_path_ports(const Graph& g, const SpanningTree& tree,
-                                  NodeId from, NodeId to) {
-  GATHER_EXPECTS(from < g.num_nodes() && to < g.num_nodes());
-  // Collect root paths, splice at the lowest common ancestor.
-  auto root_path = [&](NodeId v) {
-    std::vector<NodeId> path{v};
-    while (v != tree.root) {
-      v = tree.parent[v];
-      path.push_back(v);
-    }
-    return path;  // v .. root
-  };
-  std::vector<NodeId> up = root_path(from);
-  std::vector<NodeId> down = root_path(to);
-  // Trim the common suffix (shared ancestry above the LCA).
-  while (up.size() > 1 && down.size() > 1 &&
-         up[up.size() - 2] == down[down.size() - 2]) {
-    up.pop_back();
-    down.pop_back();
-  }
-  std::vector<Port> ports;
-  // Climb from `from` to the LCA...
-  for (std::size_t i = 0; i + 1 < up.size(); ++i)
-    ports.push_back(tree.port_to_parent[up[i]]);
-  // ...then descend to `to` (walk `down` from the LCA towards `to`).
-  for (std::size_t i = down.size(); i-- > 1;)
-    ports.push_back(tree.port_from_parent[down[i - 1]]);
-  return ports;
 }
 
 }  // namespace gather::graph

@@ -1,9 +1,6 @@
-// Spanning trees and port-level Euler tours.
-//
-// Used in two roles: (a) oracle-side, for tests and examples; (b) the same
-// tour logic the finder robot applies to its *map* in Phase 2 of
-// Undispersed-Gathering (§2.2), where a DFS walk along a spanning tree
-// visits every node and returns to the root in exactly 2(n'-1) moves.
+// BFS spanning trees, oracle-side: examples/maze_rescue.cpp carves its
+// maze from one. The finder robot's Phase-2 tour of Undispersed-Gathering
+// (§2.2) walks its *map* instead, via core::MapGraph::closed_tour.
 #pragma once
 
 #include <cstdint>
@@ -24,18 +21,5 @@ struct SpanningTree {
 
 /// BFS spanning tree rooted at `root`. Requires connected g.
 [[nodiscard]] SpanningTree bfs_spanning_tree(const Graph& g, NodeId root);
-
-/// The sequence of ports of a closed DFS walk (Euler tour) of the tree:
-/// starting at the root, traversing every tree edge exactly twice, ending
-/// back at the root. Each element is the port to leave the *current* node
-/// by; the walk has exactly 2(n-1) steps. Children are visited in
-/// increasing parent-side port order (deterministic).
-[[nodiscard]] std::vector<Port> euler_tour_ports(const Graph& g,
-                                                 const SpanningTree& tree);
-
-/// Port-route along tree edges from `from` to `to` (unique tree path).
-[[nodiscard]] std::vector<Port> tree_path_ports(const Graph& g,
-                                                const SpanningTree& tree,
-                                                NodeId from, NodeId to);
 
 }  // namespace gather::graph

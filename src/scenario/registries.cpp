@@ -373,12 +373,6 @@ SequenceRegistry make_sequences() {
             const std::size_t n = g.num_nodes();
             return uxs::make_pseudorandom_sequence(n, uxs::paper_length(n));
           });
-  reg.add("practical",
-          "pseudorandom, cover-time scale 4 n^3 ceil(log2 n)", no_params,
-          [](const graph::Topology& g, std::uint64_t) {
-            const std::size_t n = g.num_nodes();
-            return uxs::make_pseudorandom_sequence(n, uxs::practical_length(n));
-          });
   reg.add("lazy",
           "counter-based pseudorandom, practical length, O(1) memory "
           "(for huge implicit instances)",

@@ -4,6 +4,7 @@
 #include <optional>
 #include <ostream>
 
+#include "support/csv.hpp"
 #include "support/json.hpp"
 #include "support/parallel_for.hpp"
 
@@ -315,20 +316,8 @@ std::vector<std::string> SweepRunner::csv_header() {
 
 void SweepRunner::write_csv(std::ostream& os,
                             const std::vector<SweepRow>& rows) {
-  const std::vector<std::string> header = csv_header();
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i > 0) os << ',';
-    os << header[i];
-  }
-  os << '\n';
-  for (const SweepRow& row : rows) {
-    const std::vector<std::string> cells = row_cells(row);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i > 0) os << ',';
-      os << cells[i];
-    }
-    os << '\n';
-  }
+  support::write_csv_row(os, csv_header());
+  for (const SweepRow& row : rows) support::write_csv_row(os, row_cells(row));
 }
 
 void SweepRunner::write_json(std::ostream& os,

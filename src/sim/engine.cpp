@@ -771,25 +771,20 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
   return out;
 }
 
-// One decision loop per clock mode. kClockSync: local == global (the
-// paper's model — the instruction stream the pinned trace hashes hold
-// to). kClockDelayed: local = r − τ, a bijection, so Stay deadlines
-// translate back exactly. kClockLocal (any suppressing scheduler, delays
-// included): local is the maintained activation-count clock, Stay
-// deadlines translate to *conservative* global wakes (local advances at
-// most one per round) that the collection loop re-checks, and the
-// decision is recorded as the slot's standing order for the carry pass.
-template <int Mode>
+// One decision loop per robot-clock kind. Global clock (no suppressing
+// scheduler): local = r − τ, with τ the slot's release round — 0 for
+// every slot in the paper's synchronous model — a bijection, so Stay
+// deadlines translate back exactly. Ledger clock (any suppressing
+// scheduler, delays included): local is the maintained activation-count
+// clock, Stay deadlines translate to *conservative* global wakes (local
+// advances at most one per round) that the collection loop re-checks,
+// and the decision is recorded as the slot's standing order for the
+// carry pass.
+template <bool LedgerClock>
 void Engine::decide_all(Round r, RunMetrics& m) {
   for (const std::uint32_t s : active_) {
     RoundView view;
-    if constexpr (Mode == kClockDelayed) {
-      view.round = r - release_[s];
-    } else if constexpr (Mode == kClockLocal) {
-      view.round = local_[s];
-    } else {
-      view.round = r;
-    }
+    view.round = LedgerClock ? local_[s] : r - release_[s];
     view.degree = degree_at(pos_[s]);
     view.entry_port = entry_port_[s];
     // Read-only lookup: the simulate_round pre-pass materialized every
@@ -804,11 +799,11 @@ void Engine::decide_all(Round r, RunMetrics& m) {
     m.total_message_bits += bits;
     ++m.decision_calls;
     Action& d = decisions_[s];
-    if constexpr (Mode == kClockDelayed) {
+    if constexpr (!LedgerClock) {
       if (d.kind == ActionKind::Stay) {
         d.stay_until = support::sat_add(d.stay_until, release_[s]);
       }
-    } else if constexpr (Mode == kClockLocal) {
+    } else {
       const bool follow = d.kind == ActionKind::Follow;
       standing_follow_[s] = follow ? d.leader : 0;
       if (follow_sleeps_) {
@@ -843,7 +838,6 @@ void Engine::decide_all(Round r, RunMetrics& m) {
 
 std::size_t Engine::simulate_round(Round r, RunResult& result) {
   auto& m = result.metrics;
-  const bool any_delay = any_delay_;
   const bool suppressing = suppressing_;
 
   // ---- build communication views (per node hosting an active robot) ----
@@ -855,15 +849,12 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   for (const std::uint32_t s : active_) build_view(pos_[s], r);
 
   // ---- decisions --------------------------------------------------------
-  // Stamped out three times (template, one out-of-line instantiation per
-  // clock mode) so the synchronous path runs the exact pre-scheduler
-  // loop without the other modes' code inflating the hot function.
+  // Stamped out twice (one out-of-line instantiation per clock kind) so
+  // the ledger clock's bookkeeping stays out of the global-clock loop.
   if (suppressing) {
-    decide_all<kClockLocal>(r, m);
-  } else if (any_delay) {
-    decide_all<kClockDelayed>(r, m);
+    decide_all<true>(r, m);
   } else {
-    decide_all<kClockSync>(r, m);
+    decide_all<false>(r, m);
   }
 
   // ---- resolve follow chains ---------------------------------------------

@@ -71,9 +71,11 @@
 //
 //  * Scheduler hooks off the hot path. Adversary features are gated by
 //    booleans cached at add_robot time (any delay? any crash? does this
-//    scheduler suppress?), so a synchronous run executes the same
-//    instructions as before the scheduler layer existed — bit-identical
-//    traces, no measurable throughput cost (BENCH_engine.json).
+//    scheduler suppress?). Synchronous and delayed-start runs share one
+//    global-clock decide loop: local = r − release, and the release
+//    round is 0 for every slot when no start is delayed, so synchronous
+//    traces stay bit-identical. A suppressing scheduler gets the second
+//    loop, on the activation-ledger clock.
 //
 // Memory layout (see DESIGN.md "Memory layout"): per-robot state lives in
 // flat structure-of-arrays buffers indexed by *slot* (the dense index
@@ -228,8 +230,9 @@ class Engine {
 
   // ---- scheduler policy, cached off the hot path ------------------------
   // The per-slot release/crash rounds are sampled once in add_robot; the
-  // three feature flags gate every scheduler branch in the round loop, so
-  // a synchronous run pays nothing for the adversary machinery.
+  // three feature flags gate every scheduler branch in the round loop but
+  // one: the global-clock decide loop reads each slot's release round,
+  // which is 0 when no start is delayed.
   const Scheduler* sched_ = nullptr;  ///< non-owning view of config_.scheduler
   TraceRecorder* rec_ = nullptr;      ///< non-owning copy of the trace sink
   EngineProfile* prof_ = nullptr;     ///< non-owning copy of the profile sink
@@ -362,12 +365,9 @@ class Engine {
   [[nodiscard]] ViewRef view_cached(NodeId node, Round r) const;
   Action resolve_action(std::uint32_t slot, Round r);
 
-  /// Robot-clock modes of the decision loop (see engine.cpp).
-  static constexpr int kClockSync = 0;
-  static constexpr int kClockDelayed = 1;
-  static constexpr int kClockLocal = 2;
-  /// Every active robot's decide step.
-  template <int Mode>
+  /// Every active robot's decide step, on the global clock (local =
+  /// r − release) or the activation-ledger clock (see engine.cpp).
+  template <bool LedgerClock>
   void decide_all(Round r, RunMetrics& m);
 
   /// Move the activation ledger to round r's block, requesting each

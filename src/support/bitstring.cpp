@@ -1,6 +1,5 @@
 #include "support/bitstring.hpp"
 
-#include "support/assert.hpp"
 #include "support/math.hpp"
 
 namespace gather::support {
@@ -12,24 +11,6 @@ unsigned label_bit_length(std::uint64_t label) noexcept {
 bool label_bit_lsb_first(std::uint64_t label, unsigned index) noexcept {
   if (index >= 64) return false;
   return ((label >> index) & 1ULL) != 0;
-}
-
-std::vector<bool> label_bits_lsb_first(std::uint64_t label) {
-  GATHER_EXPECTS(label >= 1);
-  const unsigned len = label_bit_length(label);
-  std::vector<bool> bits(len);
-  for (unsigned i = 0; i < len; ++i) bits[i] = label_bit_lsb_first(label, i);
-  return bits;
-}
-
-std::string label_binary_string(std::uint64_t label) {
-  GATHER_EXPECTS(label >= 1);
-  const unsigned len = label_bit_length(label);
-  std::string s(len, '0');
-  for (unsigned i = 0; i < len; ++i) {
-    if (label_bit_lsb_first(label, i)) s[len - 1 - i] = '1';
-  }
-  return s;
 }
 
 }  // namespace gather::support

@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace gather::support {
 
@@ -19,11 +17,5 @@ namespace gather::support {
 /// bit (index 0). Positions beyond the natural length return 0 — this is
 /// the "ran out of bits" padding the schedules use for alignment.
 [[nodiscard]] bool label_bit_lsb_first(std::uint64_t label, unsigned index) noexcept;
-
-/// All bits LSB-first as a vector<bool> of the natural length.
-[[nodiscard]] std::vector<bool> label_bits_lsb_first(std::uint64_t label);
-
-/// Human-readable binary string (MSB first), for traces and examples.
-[[nodiscard]] std::string label_binary_string(std::uint64_t label);
 
 }  // namespace gather::support

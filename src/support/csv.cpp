@@ -6,37 +6,33 @@
 
 namespace gather::support {
 
-namespace {
-/// Quote a cell if it contains a comma, quote, or newline (RFC 4180).
-std::string escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
+void write_csv_row(std::ostream& os, const std::vector<std::string>& cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i != 0) os << ',';
+    const std::string& cell = cells[i];
+    if (cell.find_first_of(",\"\n") == std::string::npos) {
+      os << cell;
+      continue;
+    }
+    os << '"';
+    for (const char c : cell) {
+      if (c == '"') os << '"';
+      os << c;
+    }
+    os << '"';
   }
-  out += '"';
-  return out;
+  os << '\n';
 }
-}  // namespace
 
 CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& header)
     : out_(path), columns_(header.size()) {
   GATHER_EXPECTS(!header.empty());
-  if (out_) write_row(header);
+  if (out_) write_csv_row(out_, header);
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
   GATHER_EXPECTS(cells.size() == columns_);
-  if (out_) write_row(cells);
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) out_ << ',';
-    out_ << escape(cells[i]);
-  }
-  out_ << '\n';
+  if (out_) write_csv_row(out_, cells);
 }
 
 std::string csv_output_dir() {

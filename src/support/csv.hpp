@@ -1,12 +1,18 @@
 // Minimal CSV writer so benches can optionally dump machine-readable
-// series alongside the human-readable tables (set GATHER_CSV_DIR).
+// series alongside the human-readable tables (set GATHER_CSV_DIR). The
+// row writer is shared with the sweep CSV (scenario::SweepRunner).
 #pragma once
 
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 namespace gather::support {
+
+/// Write one row and its newline. A cell holding a comma, quote or
+/// newline is quoted, with inner quotes doubled (RFC 4180).
+void write_csv_row(std::ostream& os, const std::vector<std::string>& cells);
 
 class CsvWriter {
  public:
@@ -20,8 +26,6 @@ class CsvWriter {
  private:
   std::ofstream out_;
   std::size_t columns_ = 0;
-
-  void write_row(const std::vector<std::string>& cells);
 };
 
 /// Directory benches should write CSVs into, from the environment variable

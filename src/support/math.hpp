@@ -44,11 +44,6 @@ inline constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max
   return bit_width_u64(v - 1);
 }
 
-/// floor(log2(v)) for v >= 1.
-[[nodiscard]] constexpr unsigned floor_log2(std::uint64_t v) noexcept {
-  return v == 0 ? 0 : bit_width_u64(v) - 1;
-}
-
 /// Ceiling division for nonnegative integers, b > 0.
 [[nodiscard]] constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return (a + b - 1) / b;

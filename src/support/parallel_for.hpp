@@ -39,6 +39,20 @@ namespace gather::support {
 /// with the GATHER_THREADS environment variable (0 or 1 = serial).
 [[nodiscard]] unsigned default_thread_count();
 
+/// The most OS threads one parallel_for_index call starts, whatever
+/// thread count a spec, a service config or GATHER_THREADS asks for.
+inline constexpr unsigned kMaxWorkers = 256;
+
+/// Workers parallel_for_index starts for `count` indices when asked for
+/// `threads`: min(threads, count, kMaxWorkers). At most 1 means it runs
+/// serially on the calling thread.
+[[nodiscard]] constexpr unsigned worker_count(std::size_t count,
+                                              unsigned threads) noexcept {
+  return static_cast<unsigned>(
+      std::min({count, static_cast<std::size_t>(threads),
+                static_cast<std::size_t>(kMaxWorkers)}));
+}
+
 namespace detail {
 
 /// A contiguous slice of the index range; the stealing currency.
@@ -90,23 +104,23 @@ class ChunkDeque {
 
 // gather-lint: hot-template-begin(parallel-executor)
 
-/// Run fn(i) for i in [0, count) across `threads` workers with work
-/// stealing. fn must be safe to call concurrently for distinct i.
-/// Exceptions are captured and the first one is rethrown after all
-/// workers join; once an error is captured, unclaimed indices are
-/// abandoned so the pool drains promptly (an index already started still
-/// runs to completion). `steal_chunk` is the granularity of the stealing
+/// Run fn(i) for i in [0, count) across worker_count(count, threads)
+/// workers with work stealing. fn must be safe to call concurrently for
+/// distinct i. Exceptions are captured and the first one is rethrown
+/// after all workers join; once an error is captured, unclaimed indices
+/// are abandoned so the pool drains promptly (an index already started
+/// still runs to completion). If a worker thread cannot be started, the
+/// workers already running stop the same way, are joined, and the spawn
+/// error is rethrown. `steal_chunk` is the granularity of the stealing
 /// currency (0 = auto); it affects scheduling only, never results.
 template <typename Fn>
 void parallel_for_index(std::size_t count, unsigned threads, Fn&& fn,
                         std::size_t steal_chunk = 0) {
-  if (count == 0) return;
-  if (threads <= 1 || count == 1) {
+  const unsigned workers = worker_count(count, threads);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, count));
   const std::size_t chunk =
       steal_chunk == 0 ? detail::auto_chunk(count, workers) : steal_chunk;
   // Deal contiguous slabs, one per worker, pre-split into chunks. All
@@ -136,33 +150,40 @@ void parallel_for_index(std::size_t count, unsigned threads, Fn&& fn,
   std::atomic<bool> stop{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  const auto worker = [&](unsigned w) {
+    detail::IndexChunk chunk_run;
+    for (;;) {
+      // Own queue first (front: in-order over the slab), then probe
+      // victims round-robin starting past self (back: far end).
+      bool claimed = queues[w].pop_front(chunk_run);
+      for (unsigned v = 1; !claimed && v < workers; ++v) {
+        claimed = queues[(w + v) % workers].steal_back(chunk_run);
+      }
+      if (!claimed) return;  // every queue empty = range exhausted
+      for (std::size_t i = chunk_run.begin; i < chunk_run.end; ++i) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        try {
+          fn(i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+          stop.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+      if (stop.load(std::memory_order_relaxed)) return;
+    }
+  };
   std::vector<std::thread> pool;
   pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      detail::IndexChunk chunk_run;
-      for (;;) {
-        // Own queue first (front: in-order over the slab), then probe
-        // victims round-robin starting past self (back: far end).
-        bool claimed = queues[w].pop_front(chunk_run);
-        for (unsigned v = 1; !claimed && v < workers; ++v) {
-          claimed = queues[(w + v) % workers].steal_back(chunk_run);
-        }
-        if (!claimed) return;  // every queue empty = range exhausted
-        for (std::size_t i = chunk_run.begin; i < chunk_run.end; ++i) {
-          if (stop.load(std::memory_order_relaxed)) return;
-          try {
-            fn(i);
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-            stop.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-        if (stop.load(std::memory_order_relaxed)) return;
-      }
-    });
+  try {
+    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker, w);
+  } catch (...) {
+    // A joinable std::thread must not be destroyed (std::terminate), so
+    // drain and join the workers already started before rethrowing.
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& t : pool) t.join();
+    throw;
   }
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);

@@ -43,8 +43,4 @@ std::uint64_t Xoshiro256::between(std::uint64_t lo, std::uint64_t hi) noexcept {
   return lo + below(span);
 }
 
-double Xoshiro256::uniform01() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 }  // namespace gather::support

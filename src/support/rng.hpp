@@ -53,9 +53,6 @@ class Xoshiro256 {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept;
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform01() noexcept;
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

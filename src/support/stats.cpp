@@ -1,38 +1,10 @@
 #include "support/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/assert.hpp"
 
 namespace gather::support {
-
-Summary summarize(const std::vector<double>& values) {
-  GATHER_EXPECTS(!values.empty());
-  Summary s;
-  s.count = values.size();
-  double sum = 0.0;
-  s.min = values.front();
-  s.max = values.front();
-  for (const double v : values) {
-    sum += v;
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
-  }
-  s.mean = sum / static_cast<double>(values.size());
-  double sq = 0.0;
-  for (const double v : values) sq += (v - s.mean) * (v - s.mean);
-  s.stddev = values.size() > 1
-                 ? std::sqrt(sq / static_cast<double>(values.size() - 1))
-                 : 0.0;
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t mid = sorted.size() / 2;
-  s.median = (sorted.size() % 2 == 1)
-                 ? sorted[mid]
-                 : 0.5 * (sorted[mid - 1] + sorted[mid]);
-  return s;
-}
 
 LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& ys) {
   GATHER_EXPECTS(xs.size() == ys.size());

@@ -1,24 +1,13 @@
-// Small statistics toolkit for the benchmark harness: summary statistics
-// and log-log growth-exponent fitting. The experiment tables report, for
-// each claimed bound O(n^p polylog n), the least-squares slope of
-// log(measured) versus log(n), which is how "the shape holds" is checked.
+// Small statistics toolkit for the benchmark harness: log-log
+// growth-exponent fitting. The experiment tables report, for each claimed
+// bound O(n^p polylog n), the least-squares slope of log(measured) versus
+// log(n), which is how "the shape holds" is checked.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace gather::support {
-
-struct Summary {
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  std::size_t count = 0;
-};
-
-[[nodiscard]] Summary summarize(const std::vector<double>& values);
 
 struct LinearFit {
   double slope = 0.0;

@@ -268,6 +268,13 @@ TEST(CAbiTest, BadSpecTextIsUsage) {
   EXPECT_NE(std::string(gather_last_error()).find(removed_knob),
             std::string::npos)
       << gather_last_error();
+  // The `practical` sequence policy was removed in 0.4.0 (`lazy` has the
+  // same length in O(1) memory), so naming it is a usage error.
+  EXPECT_EQ(gather_run_json(service.ptr, "sequence=practical\n", &json),
+            GATHER_STATUS_USAGE);
+  EXPECT_NE(std::string(gather_last_error()).find("practical"),
+            std::string::npos)
+      << gather_last_error();
   EXPECT_EQ(gather_run_json(service.ptr, "not a key value line\n", &json),
             GATHER_STATUS_USAGE);
   EXPECT_EQ(gather_sweep_csv(service.ptr, "sizes=twelve\n", &json),

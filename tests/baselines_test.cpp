@@ -1,8 +1,6 @@
-// Baseline comparator tests: the randomized walk (no detection) and the
-// Dessmark-style two-robot ladder.
+// Baseline comparator tests: the randomized walk (no detection).
 #include <gtest/gtest.h>
 
-#include "baselines/dessmark.hpp"
 #include "baselines/random_walk.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -43,48 +41,6 @@ TEST(RandomWalk, DeterministicGivenSeed) {
     rounds[rep] = engine.run().metrics.rounds;
   }
   EXPECT_EQ(rounds[0], rounds[1]);
-}
-
-TEST(Dessmark, TwoRobotsMeetAndTerminate) {
-  for (std::uint32_t d = 1; d <= 4; ++d) {
-    const graph::Graph g = graph::make_path(10);
-    sim::EngineConfig cfg;
-    cfg.hard_cap = 500'000'000ULL;
-    sim::Engine engine(g, cfg);
-    engine.add_robot(std::make_unique<DessmarkTwoRobot>(5, 10, 2), 2);
-    engine.add_robot(std::make_unique<DessmarkTwoRobot>(9, 10, 2),
-                     static_cast<graph::NodeId>(2 + d));
-    const sim::RunResult result = engine.run();
-    EXPECT_TRUE(result.all_terminated) << "d=" << d;
-    EXPECT_TRUE(result.gathered_at_end) << "d=" << d;
-    EXPECT_TRUE(result.detection_correct) << "d=" << d;
-  }
-}
-
-TEST(Dessmark, AlreadyColocatedTerminatesImmediately) {
-  const graph::Graph g = graph::make_ring(5);
-  sim::EngineConfig cfg;
-  cfg.hard_cap = 100;
-  sim::Engine engine(g, cfg);
-  engine.add_robot(std::make_unique<DessmarkTwoRobot>(1, 5, 2), 3);
-  engine.add_robot(std::make_unique<DessmarkTwoRobot>(2, 5, 2), 3);
-  const sim::RunResult result = engine.run();
-  EXPECT_TRUE(result.detection_correct);
-  EXPECT_EQ(result.metrics.rounds, 0u);
-}
-
-TEST(Dessmark, CloserPairsMeetFaster) {
-  auto run_at_distance = [](std::uint32_t d) {
-    const graph::Graph g = graph::make_path(12);
-    sim::EngineConfig cfg;
-    cfg.hard_cap = 2'000'000'000ULL;
-    sim::Engine engine(g, cfg);
-    engine.add_robot(std::make_unique<DessmarkTwoRobot>(3, 12, 2), 0);
-    engine.add_robot(std::make_unique<DessmarkTwoRobot>(6, 12, 2),
-                     static_cast<graph::NodeId>(d));
-    return engine.run().metrics.rounds;
-  };
-  EXPECT_LT(run_at_distance(1), run_at_distance(4));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // thread counts.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "graph/algorithms.hpp"
@@ -239,6 +240,32 @@ TEST(Sweep, ByteIdenticalAcrossRunsAndThreadCounts) {
   sweep.threads = 2;
   SweepRunner::write_json(json_b, SweepRunner::run(sweep, caches));
   EXPECT_EQ(json_a.str(), json_b.str());
+
+  // A cell holding a comma (here a graph-file path) is quoted, so the
+  // row keeps the header's column count.
+  const std::string path = testing::TempDir() + "/a,b.graph";
+  std::filesystem::copy_file(
+      std::string(GATHER_TEST_DATA_DIR) + "/cli_petersen.graph", path,
+      std::filesystem::copy_options::overwrite_existing);
+  SweepSpec file_sweep;
+  file_sweep.base.family = "file";
+  file_sweep.base.family_params.set("path", path);
+  file_sweep.base.k = 3;
+  std::ostringstream file_csv;
+  SweepRunner::write_csv(file_csv, SweepRunner::run(file_sweep, caches));
+  std::filesystem::remove(path);
+  const std::string text = file_csv.str();
+  const std::size_t header_end = text.find('\n');
+  ASSERT_NE(header_end, std::string::npos);
+  const std::string row = text.substr(header_end + 1);
+  EXPECT_EQ(row.rfind("file,\"path=" + path + "\",", 0), 0u) << row;
+  std::size_t columns = 1;
+  bool quoted = false;
+  for (const char c : row) {
+    if (c == '"') quoted = !quoted;
+    if (c == ',' && !quoted) ++columns;
+  }
+  EXPECT_EQ(columns, SweepRunner::csv_header().size()) << row;
 }
 
 TEST(Sweep, SkipInfeasibleDropsPointsButNeverTypos) {

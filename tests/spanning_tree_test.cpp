@@ -1,5 +1,5 @@
-// Spanning-tree and Euler-tour tests — the machinery behind the Phase-2
-// collection tour (2(n-1) moves, visits every node, returns to the root).
+// BFS spanning-tree tests: the tree examples/maze_rescue.cpp carves its
+// maze from.
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
@@ -8,18 +8,6 @@
 
 namespace gather::graph {
 namespace {
-
-/// Physically execute a port route and return the node sequence.
-std::vector<NodeId> walk_route(const Graph& g, NodeId start,
-                               const std::vector<Port>& ports) {
-  std::vector<NodeId> nodes{start};
-  NodeId at = start;
-  for (const Port p : ports) {
-    at = g.traverse(at, p).to;
-    nodes.push_back(at);
-  }
-  return nodes;
-}
 
 TEST(SpanningTree, ParentDistancesDecrease) {
   const Graph g = make_grid(4, 4);
@@ -40,59 +28,6 @@ TEST(SpanningTree, PortFieldsConsistent) {
     EXPECT_EQ(down.to, v);
     EXPECT_EQ(down.to_port, tree.port_to_parent[v]);
   }
-}
-
-class EulerTourFamilies : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EulerTourFamilies, VisitsAllNodesAndCloses) {
-  const std::uint64_t seed = GetParam();
-  for (const auto& entry : standard_test_suite(seed)) {
-    SCOPED_TRACE(entry.name);
-    const Graph& g = entry.graph;
-    const NodeId root = static_cast<NodeId>(seed % g.num_nodes());
-    const SpanningTree tree = bfs_spanning_tree(g, root);
-    const auto ports = euler_tour_ports(g, tree);
-    EXPECT_EQ(ports.size(), 2 * (g.num_nodes() - 1));
-    const auto nodes = walk_route(g, root, ports);
-    EXPECT_EQ(nodes.back(), root);  // closed walk
-    std::vector<bool> seen(g.num_nodes(), false);
-    for (const NodeId v : nodes) seen[v] = true;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_TRUE(seen[v]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EulerTourFamilies,
-                         ::testing::Values(1, 2, 3, 10, 77));
-
-TEST(TreePath, ConnectsArbitraryPairs) {
-  const Graph g = make_random_tree(18, 4);
-  const SpanningTree tree = bfs_spanning_tree(g, 0);
-  const auto dist = all_pairs_distances(g);
-  for (NodeId from = 0; from < g.num_nodes(); from += 3) {
-    for (NodeId to = 0; to < g.num_nodes(); to += 2) {
-      const auto ports = tree_path_ports(g, tree, from, to);
-      const auto nodes = walk_route(g, from, ports);
-      EXPECT_EQ(nodes.back(), to);
-      // In a tree, the tree path is the unique (shortest) path.
-      EXPECT_EQ(ports.size(), dist[from][to]);
-    }
-  }
-}
-
-TEST(TreePath, SelfPathIsEmpty) {
-  const Graph g = make_ring(6);
-  const SpanningTree tree = bfs_spanning_tree(g, 2);
-  EXPECT_TRUE(tree_path_ports(g, tree, 3, 3).empty());
-  EXPECT_TRUE(tree_path_ports(g, tree, 2, 2).empty());
-}
-
-TEST(TreePath, AncestorDescendantBothWays) {
-  const Graph g = make_path(8);
-  const SpanningTree tree = bfs_spanning_tree(g, 0);
-  const auto down = tree_path_ports(g, tree, 0, 6);
-  EXPECT_EQ(walk_route(g, 0, down).back(), 6u);
-  const auto up = tree_path_ports(g, tree, 6, 0);
-  EXPECT_EQ(walk_route(g, 6, up).back(), 0u);
 }
 
 }  // namespace

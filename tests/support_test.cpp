@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -52,15 +53,6 @@ TEST(Rng, BetweenInclusive) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 4u);  // all four values appear in 500 draws
-}
-
-TEST(Rng, Uniform01InRange) {
-  Xoshiro256 rng(13);
-  for (int i = 0; i < 200; ++i) {
-    const double v = rng.uniform01();
-    EXPECT_GE(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
 }
 
 TEST(Rng, ShufflePreservesElements) {
@@ -152,25 +144,6 @@ TEST(Bitstring, LsbFirstBits) {
   EXPECT_FALSE(label_bit_lsb_first(6, 200));
 }
 
-TEST(Bitstring, VectorAndString) {
-  const auto bits = label_bits_lsb_first(6);
-  ASSERT_EQ(bits.size(), 3u);
-  EXPECT_FALSE(bits[0]);
-  EXPECT_TRUE(bits[1]);
-  EXPECT_TRUE(bits[2]);
-  EXPECT_EQ(label_binary_string(6), "110");
-  EXPECT_EQ(label_binary_string(1), "1");
-}
-
-TEST(Stats, Summarize) {
-  const auto s = summarize({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_EQ(s.count, 4u);
-}
-
 TEST(Stats, LinearFitExact) {
   const auto fit = linear_fit({1, 2, 3, 4}, {3, 5, 7, 9});  // y = 2x + 1
   EXPECT_NEAR(fit.slope, 2.0, 1e-9);
@@ -189,7 +162,6 @@ TEST(Stats, LogLogRecoversExponent) {
 }
 
 TEST(Stats, RejectsDegenerateInput) {
-  EXPECT_THROW((void)summarize({}), ContractViolation);
   EXPECT_THROW((void)linear_fit({1}, {1}), ContractViolation);
   EXPECT_THROW((void)loglog_fit({1, -2}, {1, 2}), ContractViolation);
 }
@@ -231,6 +203,21 @@ TEST(Csv, WritesEscapedCells) {
                   std::istreambuf_iterator<char>());
   EXPECT_NE(all.find("\"with,comma\""), std::string::npos);
   EXPECT_NE(all.find("\"with\"\"quote\""), std::string::npos);
+}
+
+TEST(ParallelFor, WorkerCountIsCapped) {
+  // Pure arithmetic: no thread is started here.
+  constexpr unsigned kHuge = std::numeric_limits<unsigned>::max();
+  constexpr std::size_t kRows = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(worker_count(kRows, kHuge), kMaxWorkers);
+  EXPECT_EQ(worker_count(kRows, kMaxWorkers + 1), kMaxWorkers);
+  EXPECT_EQ(worker_count(kRows, 97), 97u);
+  EXPECT_EQ(worker_count(10, kHuge), 10u);
+  EXPECT_EQ(worker_count(1, kHuge), 1u);
+  EXPECT_EQ(worker_count(0, kHuge), 0u);
+  EXPECT_EQ(worker_count(kRows, 1), 1u);
+  EXPECT_EQ(worker_count(kRows, 0), 0u);
+  static_assert(kMaxWorkers == 256);
 }
 
 TEST(ParallelFor, VisitsAllIndicesOnce) {
