@@ -58,6 +58,15 @@ struct BehaviorResult {
                      });
 }
 
+/// Smallest live co-located robot id, `self` included (0 if none): the
+/// first live entry of the id-sorted view.
+[[nodiscard]] inline RobotId min_live_id(const RoundView& view) {
+  for (const RobotPublicState& s : view.colocated) {
+    if (s.tag != StateTag::Terminated) return s.id;
+  }
+  return 0;
+}
+
 /// Largest co-located robot id other than `self` (0 if none): the first
 /// live entry from the back of the id-sorted view.
 [[nodiscard]] inline RobotId max_other_id(const RoundView& view, RobotId self) {

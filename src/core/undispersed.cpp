@@ -32,18 +32,15 @@ BehaviorResult UndispersedBehavior::result(Action action) const {
 void UndispersedBehavior::assign_role(const RoundView& view) {
   // Roles follow from the configuration at the start round (§2.2): alone
   // -> waiter; otherwise the minimum-ID co-located robot is the finder
-  // and the rest are its helpers.
-  RobotId min_id = self_;
-  std::size_t present = 0;
-  for (const RobotPublicState& s : view.colocated) {
-    if (s.tag == StateTag::Terminated) continue;
-    ++present;
-    min_id = std::min(min_id, s.id);
-  }
-  if (present <= 1) {
+  // and the rest are its helpers. Both reads stop early on the id-sorted
+  // view, so a crowded start does not cost every robot a full scan.
+  if (!any_other_live(view, self_)) {
     role_ = Role::Waiter;
     group_id_ = 0;
-  } else if (min_id == self_) {
+    return;
+  }
+  const RobotId min_id = std::min(self_, min_live_id(view));
+  if (min_id == self_) {
     role_ = Role::Finder;
     group_id_ = self_;
   } else {
@@ -169,8 +166,9 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
     // ---- Phase 1: act as the finder's movable token ----------------------
     // Mirror the finder whenever it is co-located; its take_followers flag
     // decides whether the token moves or is left behind. Nothing here
-    // changes before phase 2 unless the view does, so the Follow promises
-    // to stand until then (sim/action.hpp).
+    // changes before phase 2 unless the co-located robots or their states
+    // do (degree and entry port are not read), so the Follow promises to
+    // stand until then (sim/action.hpp).
     if (is_colocated(view, group_id_)) {
       return result(Action::follow(group_id_, phase2_));
     }
@@ -179,9 +177,11 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
 
   // ---- Phase 2: stay until captured by a smaller-groupid finder ---------
   const auto finder = min_group_finder(view, self_);
-  // Both Follows below stand until end_ while the view is unchanged: the
-  // capture is not repeated once group_id_ is the captor's, and the
-  // captor checks read only the view.
+  // Both Follows below stand until end_ while the co-located robots and
+  // their states are unchanged: the capture is not repeated once
+  // group_id_ is the captor's, and the captor checks read only the
+  // co-located entries. A captured finder's Follow (finder_step) hands
+  // over to these same rules at its next consult.
   if (finder.has_value() && finder->group_id < group_id_) {
     group_id_ = finder->group_id;
     followed_ = finder->id;

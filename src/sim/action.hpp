@@ -13,14 +13,18 @@
 // through port p, come along" from a co-located leader: the follower's
 // action resolves to the leader's action in the same round. `until`
 // (reusing `stay_until`, LOCAL time, 0 = none) is the follower's own
-// promise: while the occupancy of its node and the public states of the
-// robots there stay unchanged, every consult before local round `until`
-// returns this same Follow and changes no robot state. Under a
-// suppressing scheduler the skipping engine then sleeps the follower
-// until its leader's wake or that deadline, whichever comes first,
-// instead of re-consulting it at every activated round. A Move with
-// take_followers == false is how a finder *leaves its token behind*
-// during map construction (§2.2 Phase 1).
+// promise: while the set of robots co-located with it and their public
+// states stay unchanged, every consult before local round `until`
+// returns this same Follow and changes no robot state. The promise
+// covers the co-located robots only, not the node's degree or the entry
+// port, so it survives the whole group moving on to an empty node. The
+// skipping engine acts on it: under a suppressing scheduler it sleeps
+// the follower until its leader's wake or that deadline, whichever
+// comes first, instead of re-consulting it at every activated round; on
+// the global clock it answers the follower's consults by repeating the
+// Follow without calling the robot. A Move with take_followers == false
+// is how a finder *leaves its token behind* during map construction
+// (§2.2 Phase 1).
 #pragma once
 
 #include <string>
@@ -60,7 +64,8 @@ struct Action {
   }
 
   /// Mirror `leader`; `until` > 0 promises the same decision before
-  /// local round `until` while the node's view stays unchanged.
+  /// local round `until` while the co-located robots and their public
+  /// states stay unchanged (degree and entry port may change).
   [[nodiscard]] static Action follow(RobotId leader, Round until = 0) {
     Action a;
     a.kind = ActionKind::Follow;

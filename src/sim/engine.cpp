@@ -56,7 +56,9 @@ Engine::Engine(const graph::Topology& graph, EngineConfig config)
   rec_ = config_.trace_recorder;
   prof_ = config_.profile;
   suppressing_ = sched_ != nullptr && sched_->fairness_bound() > 0;
-  follow_sleeps_ = suppressing_ && !config_.naive_stepping && rec_ == nullptr;
+  promises_ = !config_.naive_stepping && rec_ == nullptr;
+  follow_sleeps_ = suppressing_ && promises_;
+  replays_ = !suppressing_ && promises_;
 }
 
 void Engine::add_robot(std::unique_ptr<Robot> robot, NodeId start) {
@@ -241,7 +243,7 @@ bool Engine::resolve_carry(std::uint32_t s, Round r) {
   carry_has_[s] = 0;
   const RobotId leader_id = standing_follow_[s];
   if (leader_id == 0) return false;
-  const std::uint32_t leader = find_slot(leader_id);
+  const std::uint32_t leader = leader_slot(s, leader_id);
   if (leader == kNoSlot) return false;
   if (pos_[leader] != pos_[s]) return false;  // leader already departed
   if (terminated_[leader] != 0) return false;
@@ -357,7 +359,11 @@ void Engine::splice_arrivals(Round r) {
   // each source's list unlinks exactly its departed occupants —
   // O(occupancy) per node, whatever order the movers left in.
   // touched_nodes_ holds just the sources here, and a source holds its
-  // movers, so find() cannot miss.
+  // movers, so find() cannot miss. Unlinking never rewrites a departed
+  // robot's own link, so when every occupant of the one source leaves,
+  // its old head still starts the movers' chain in label order.
+  const bool one_source = touched_nodes_.size() == 1;
+  std::uint32_t group = kNoSlot;  // the emptied single source's old head
   std::size_t departed = 0;
   for (const NodeId node : touched_nodes_) {
     NodeRec* rec = nodes_.find(node);
@@ -365,6 +371,7 @@ void Engine::splice_arrivals(Round r) {
     // again; a node both left and entered then appears twice, which
     // only repeats its idempotent occupancy wakeup.
     rec->touch_stamp = kNoRound;
+    const std::uint32_t head = rec->head;
     for (std::uint32_t* link = &rec->head; *link != kNoSlot;) {
       const std::uint32_t occ = *link;
       if (pos_[occ] == node) {
@@ -374,12 +381,35 @@ void Engine::splice_arrivals(Round r) {
         ++departed;
       }
     }
+    if (one_source && rec->head == kNoSlot) group = head;
     // Sparse mode: hand an emptied record back so resident memory stays
     // O(robots). Safe even though it voids the node's view memo — views
     // of round r are fully consumed before any round-r move.
     nodes_.release_if_empty(node);
   }
   GATHER_INVARIANT(departed == arrivals_.size());
+
+  // Intact group move: the emptied source's movers all land on one node
+  // that held no robot (terminated, dormant and crashed ones included),
+  // so that node's list is the movers' chain, handed over without a sort
+  // or a merge. The node is not listed: every occupant moved, so each is
+  // already woken, and their Follow promises stand — they see the same
+  // entries there; only degree and entry port changed.
+  if (group != kNoSlot) {
+    const std::uint64_t dest = arrivals_.front() >> 32;
+    const bool one_dest =
+        std::all_of(arrivals_.begin(), arrivals_.end(),
+                    [dest](std::uint64_t key) { return key >> 32 == dest; });
+    if (one_dest) {
+      NodeRec& rec = nodes_.ref(static_cast<NodeId>(dest));
+      if (rec.head == kNoSlot) {
+        rec.head = group;
+        arrivals_.clear();
+        if (prof_ != nullptr) ++prof_->group_handoffs;
+        return;
+      }
+    }
+  }
 
   // List each destination once. Records are created only now, after
   // every emptied source was released, so the table never holds more
@@ -444,6 +474,11 @@ RunResult Engine::run() {
   resolved_.assign(num_slots, Action{});
   resolved_stamp_.assign(num_slots, kNoRound);
   resolve_mark_.assign(num_slots, 0);
+  leader_slot_.assign(num_slots, kNoSlot);
+  if (replays_) promise_until_.assign(num_slots, 0);
+  // A slot is listed at most twice a round: its consult changed its
+  // state, and it terminated.
+  if (promises_) changed_slots_.reserve(2 * num_slots);
   if (suppressing_) {
     if (!config_.naive_stepping) {
       clock_base_.assign(num_slots, 0);
@@ -457,9 +492,6 @@ RunResult Engine::run() {
     if (follow_sleeps_) {
       credit_base_.assign(num_slots, 0);
       credit_bits_.assign(num_slots, 0);
-      // A slot is listed at most twice a round: its consult changed its
-      // state, and it terminated.
-      changed_nodes_.reserve(2 * num_slots);
     }
     carry_stamp_.assign(num_slots, kNoRound);
     carry_has_.assign(num_slots, 0);
@@ -705,6 +737,14 @@ Engine::ViewRef Engine::view_cached(NodeId node, Round r) const {
   return views_[rec->view];
 }
 
+std::uint32_t Engine::leader_slot(std::uint32_t s, RobotId leader) {
+  // A follower names the same leader round after round, so the memo
+  // spares the binary search nearly always.
+  std::uint32_t& memo = leader_slot_[s];
+  if (memo == kNoSlot || ids_[memo] != leader) memo = find_slot(leader);
+  return memo;
+}
+
 Action Engine::resolve_action(std::uint32_t s, Round r) {
   // Concrete (non-Follow) action for slot s this round; sleeping robots
   // implicitly Stay until their wake deadline. Iterative chain walk with
@@ -726,7 +766,7 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
     // naming an absent, non-co-located, or terminated robot means engine
     // state is inconsistent (or the robot invented a label): an
     // EngineInvariantError, never a recordable protocol outcome.
-    const std::uint32_t leader = find_slot(decisions_[s].leader);
+    const std::uint32_t leader = leader_slot(s, decisions_[s].leader);
     if (leader == kNoSlot)
       throw EngineInvariantError("robot follows unknown label");
     if (pos_[leader] != pos_[s])
@@ -783,44 +823,54 @@ Action Engine::resolve_action(std::uint32_t s, Round r) {
 template <bool LedgerClock>
 void Engine::decide_all(Round r, RunMetrics& m) {
   for (const std::uint32_t s : active_) {
-    RoundView view;
-    view.round = LedgerClock ? local_[s] : r - release_[s];
-    view.degree = degree_at(pos_[s]);
-    view.entry_port = entry_port_[s];
+    const Round local = LedgerClock ? local_[s] : r - release_[s];
     // Read-only lookup: the simulate_round pre-pass materialized every
     // active node's view.
     const ViewRef ref = view_cached(pos_[s], r);
-    view.colocated = {view_arena_.data() + ref.begin, ref.size};
     // The robot receives every entry but its own. Its public state still
     // equals its snapshot entry: only its own on_round (next) writes it.
     const RobotPublicState before = robots_[s]->public_state();
     const std::uint64_t bits = ref.bits - message_bits(before);
-    decisions_[s] = robots_[s]->on_round(view);
     m.total_message_bits += bits;
     ++m.decision_calls;
+    decision_stamp_[s] = r;
+    if constexpr (!LedgerClock) {
+      // A standing promise answers the consult: while its view entries
+      // are unchanged (void_changed_views clears the promise otherwise),
+      // the robot would repeat this Follow and change no state.
+      if (replays_ && promise_until_[s] > local) {
+        if (prof_ != nullptr) ++prof_->replayed_follows;
+        continue;
+      }
+    }
+    RoundView view;
+    view.round = local;
+    view.degree = degree_at(pos_[s]);
+    view.entry_port = entry_port_[s];
+    view.colocated = {view_arena_.data() + ref.begin, ref.size};
+    decisions_[s] = robots_[s]->on_round(view);
     Action& d = decisions_[s];
+    const bool follow = d.kind == ActionKind::Follow;
     if constexpr (!LedgerClock) {
       if (d.kind == ActionKind::Stay) {
         d.stay_until = support::sat_add(d.stay_until, release_[s]);
       }
+      if (replays_) {
+        promise_until_[s] = follow && d.stay_until > local ? d.stay_until : 0;
+      }
     } else {
-      const bool follow = d.kind == ActionKind::Follow;
       standing_follow_[s] = follow ? d.leader : 0;
       if (follow_sleeps_) {
         // Settle the polls skipped since the last Follow (each activation
         // in between would have been a consult with these same bits),
         // then open this decision's credit.
         if (credit_bits_[s] != 0) {
-          const Round skipped = local_[s] - credit_base_[s];
+          const Round skipped = local - credit_base_[s];
           m.total_message_bits += skipped * credit_bits_[s];
           if (prof_ != nullptr) prof_->skipped_polls += skipped;
         }
-        credit_base_[s] = local_[s] + 1;
+        credit_base_[s] = local + 1;
         credit_bits_[s] = follow ? bits : 0;
-        const RobotPublicState& after = robots_[s]->public_state();
-        if (after.tag != before.tag || after.group_id != before.group_id) {
-          changed_nodes_.push_back(pos_[s]);
-        }
       }
       if (d.kind == ActionKind::Stay || follow) {
         // Translate the local deadline to a conservative global wake. A
@@ -829,10 +879,17 @@ void Engine::decide_all(Round r, RunMetrics& m) {
         const Round until = follow && !follow_sleeps_ ? 0 : d.stay_until;
         decided_stay_local_[s] = until;
         d.stay_until =
-            until > local_[s] ? support::sat_add(r, until - local_[s]) : r + 1;
+            until > local ? support::sat_add(r, until - local) : r + 1;
       }
     }
-    decision_stamp_[s] = r;
+    if (promises_) {
+      // A changed tag or group id voids the promises at the robot's node
+      // once the round's moves are done (void_changed_views).
+      const RobotPublicState& after = robots_[s]->public_state();
+      if (after.tag != before.tag || after.group_id != before.group_id) {
+        changed_slots_.push_back(s);
+      }
+    }
   }
 }
 
@@ -861,11 +918,11 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   for (const std::uint32_t s : active_) (void)resolve_action(s, r);
 
   // Trace the round's Follow decisions (resolution above has already
-  // validated every named leader, so find_slot cannot fail here).
+  // validated every named leader and memoized its slot).
   if (rec_ != nullptr) {
     for (const std::uint32_t s : active_) {
       if (decisions_[s].kind == ActionKind::Follow) {
-        rec_->record_follow(s, find_slot(decisions_[s].leader));
+        rec_->record_follow(s, leader_slot(s, decisions_[s].leader));
       }
     }
   }
@@ -941,7 +998,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         hash_word(m.trace_hash, ~r);
         hash_word(m.trace_hash, ids_[s]);
         if (rec_ != nullptr) rec_->record_terminate(s);
-        if (follow_sleeps_) changed_nodes_.push_back(pos_[s]);
+        if (promises_) changed_slots_.push_back(s);
         break;
       }
       case ActionKind::Follow:
@@ -963,13 +1020,19 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   }
 
   // ---- occupancy-change wakeups ------------------------------------------
-  // (splice_arrivals left every touched node in touched_nodes_.)
+  // splice_arrivals left every touched node in touched_nodes_ but an
+  // intact group's destination, whose occupants all moved (so are woken
+  // already) and keep their promises. An occupancy change voids every
+  // standing promise at the node. Each walked node is stamped so
+  // void_changed_views skips it.
   if (!config_.naive_stepping) {
     for (const NodeId node : touched_nodes_) {
-      const NodeRec* rec = nodes_.find(node);
+      NodeRec* rec = nodes_.find(node);
       if (rec == nullptr) continue;  // sparse mode: node emptied by a move
+      rec->touch_stamp = r;
       for (std::uint32_t occ = rec->head; occ != kNoSlot;
            occ = occ_next_[occ]) {
+        if (replays_) promise_until_[occ] = 0;
         if (terminated_[occ] != 0) continue;
         // Crashed and still-dormant occupants would only be dropped or
         // re-deferred by the collection filter next round — skip the
@@ -985,15 +1048,28 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
       }
     }
   }
+  if (!changed_slots_.empty()) void_changed_views(r);
 
-  // ---- public-state-change wakeups (follow sleeps only) -------------------
-  // A follower's promise holds only while its view is unchanged, and a
-  // changed tag or group id changes the view from round r+1. Stay
-  // sleepers are left asleep: their promise covers the occupancy only.
-  for (const NodeId node : changed_nodes_) {
-    const NodeRec* rec = nodes_.find(node);
-    if (rec == nullptr) continue;  // sparse mode: node emptied by a move
+  return movers;
+}
+
+void Engine::void_changed_views(Round r) {
+  // A Follow promise holds only while the follower's view entries are
+  // unchanged, and a changed tag or group id (a termination included)
+  // changes them from round r+1: void the promises at each listed slot's
+  // post-move node, and wake its follow sleepers. Stay sleepers are left
+  // asleep: their promise covers the occupancy only. Each node is walked
+  // once — k robots changing state together at one node cost O(k).
+  for (const std::uint32_t s : changed_slots_) {
+    NodeRec* rec = nodes_.find(pos_[s]);
+    GATHER_INVARIANT(rec != nullptr);  // the slot itself sits there
+    if (rec->touch_stamp == r) continue;  // already walked this round
+    rec->touch_stamp = r;
     for (std::uint32_t occ = rec->head; occ != kNoSlot; occ = occ_next_[occ]) {
+      if (replays_) {
+        promise_until_[occ] = 0;
+        continue;
+      }
       if (terminated_[occ] != 0 || sleep_target_[occ] == kNoRound ||
           follow_wake_[occ] == kNoRound || wake_[occ] <= r + 1) {
         continue;
@@ -1003,9 +1079,7 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
       heap_push(r + 1, occ);
     }
   }
-  changed_nodes_.clear();
-
-  return movers;
+  changed_slots_.clear();
 }
 // gather-lint: hot-path-end(round-simulation)
 

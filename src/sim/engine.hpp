@@ -69,6 +69,20 @@
 //    run with a trace recorder (whose trace lists every poll) keep
 //    polling.
 //
+//  * Standing promises (skip mode on the global clock, no trace
+//    recorder). A consult that returns Follow{leader, until} with
+//    `until` past the robot's local round leaves a promise: later
+//    consults before `until` reuse that decision without calling
+//    Robot::on_round. A *replayed* consult still adds its view's message
+//    bits and counts in decision_calls, so every output is that of an
+//    engine that calls the robot each time. The promise ends when the
+//    robot's view entries change: at an occupancy change of its node
+//    (the occupancy-wakeup walk), or at a consult or termination that
+//    changes a tag or group id there (one walk per such node and round,
+//    shared with the follow-sleep wakes). A helper group that moves as
+//    one onto an empty node keeps its promises: its robots see the same
+//    entries there, and a promise does not cover degree or entry port.
+//
 //  * Scheduler hooks off the hot path. Adversary features are gated by
 //    booleans cached at add_robot time (any delay? any crash? does this
 //    scheduler suppress?). Synchronous and delayed-start runs share one
@@ -80,14 +94,19 @@
 // Memory layout (see DESIGN.md "Memory layout"): per-robot state lives in
 // flat structure-of-arrays buffers indexed by *slot* (the dense index
 // assigned by add_robot, in insertion order); robot labels are looked up
-// through a sorted slot array (binary search — no hash map anywhere).
-// Node occupancy is an intrusive singly-linked list (per-node head + a
-// per-slot next link, kept sorted by label). Moves are spliced in one
-// batch per round: each source node's list is filtered once, then each
-// arrival is inserted into its destination's list. When some node
-// receives a group, the arrivals are first sorted by (node, label) and
-// merged in one walk per node, so the group costs linear, not
-// quadratic, time; otherwise nothing is sorted. The per-round
+// through a sorted slot array (binary search — no hash map anywhere),
+// and a Follow's leader through a per-slot memo of the last leader's
+// slot, checked against its label first. Node occupancy is an intrusive
+// singly-linked list (per-node head + a per-slot next link, kept sorted
+// by label). Moves are spliced in one batch per round: each source
+// node's list is filtered once, then each arrival is inserted into its
+// destination's list. When some node receives a group, the arrivals are
+// first sorted by (node, label) and merged in one walk per node, so the
+// group costs linear, not quadratic, time; otherwise nothing is sorted.
+// An intact group move (every move leaves one node, empties it, and
+// lands on one node that held no robot) skips both: the filtered-out
+// movers are still chained in label order, so the destination takes
+// the source's old head in O(1). The per-round
 // communication views live in one contiguous arena stamped by round,
 // each with its message-bit sum, so a robot's received bits are the sum
 // minus its own entry.
@@ -157,6 +176,13 @@ struct EngineProfile {
   /// credits their message bits; decision_calls + skipped_polls is the
   /// consult count of an engine that polls followers every activation.
   std::uint64_t skipped_polls = 0;
+  /// Standing promises (global clock, skip mode, no trace recorder):
+  /// consults answered by repeating the slot's Follow instead of calling
+  /// Robot::on_round. Each still counts in decision_calls.
+  std::uint64_t replayed_follows = 0;
+  /// Rounds whose moves all left one node, emptied it, and landed on one
+  /// node that held no robot: the occupant list was handed over whole.
+  std::uint64_t group_handoffs = 0;
 };
 
 struct EngineConfig {
@@ -239,9 +265,14 @@ class Engine {
   bool any_delay_ = false;
   bool any_crash_ = false;
   bool suppressing_ = false;
-  /// Follows may sleep on their promise: skip mode under a suppressing
-  /// scheduler with no trace recorder (a trace records every poll).
+  /// Follow promises may be acted on (promises_): skip mode with no
+  /// trace recorder (a trace records every poll). A suppressing
+  /// scheduler sleeps the follower on its promise (follow_sleeps_); the
+  /// global clock replays the promised Follow at each consult instead
+  /// (replays_).
+  bool promises_ = false;
   bool follow_sleeps_ = false;
+  bool replays_ = false;
 
   // ---- flat per-slot state (SoA), indexed by add_robot order -----------
   std::vector<std::unique_ptr<Robot>> robots_;  ///< cold: ownership + vtable
@@ -281,6 +312,13 @@ class Engine {
   /// Leader named by the slot's most recent decision if that decision
   /// was Follow (0 = none) — the standing order the carry pass executes.
   std::vector<RobotId> standing_follow_;
+  /// Standing promise of the slot's last consult (replays_ only): the
+  /// local round its Follow promised to repeat until (0 = none). Voided
+  /// when the slot's view entries change.
+  std::vector<Round> promise_until_;
+  /// Slot of the leader the slot last followed (kNoSlot = none yet),
+  /// checked against ids_ before use; find_slot is the fallback.
+  std::vector<std::uint32_t> leader_slot_;
 
   /// Slot indices sorted by label — the label→slot index (binary search;
   /// labels are sparse in [1, n^b], so no direct-indexed table). Built
@@ -334,6 +372,10 @@ class Engine {
   /// slots_by_id_), so list order can be compared on 32-bit ranks.
   std::vector<std::uint32_t> label_rank_;
   std::vector<std::uint32_t> active_;
+  /// Slots whose consult changed their tag or group id, or that
+  /// terminated, this round (follow sleeps and replays only): after the
+  /// moves, each one's node is walked once to void the promises there.
+  std::vector<std::uint32_t> changed_slots_;
 
   // ---- suppression-only scratch (sized in run(), unused otherwise) ------
   // The activation ledger (skip mode): ledger_block_ is the 64-round
@@ -349,9 +391,6 @@ class Engine {
   std::vector<RobotId> ledger_ids_;
   std::vector<std::uint64_t> ledger_words_;
   std::vector<Round> decided_stay_local_;  ///< pre-translation Stay deadline
-  /// Nodes where a consult or a termination changed a public state this
-  /// round: their follow sleepers wake for the next round.
-  std::vector<NodeId> changed_nodes_;
   std::vector<std::uint32_t> carried_;     ///< slots carried this round
   std::vector<Round> carry_stamp_;         ///< memo stamp for resolve_carry
   std::vector<std::uint8_t> carry_has_;
@@ -364,6 +403,10 @@ class Engine {
   /// writes).
   [[nodiscard]] ViewRef view_cached(NodeId node, Round r) const;
   Action resolve_action(std::uint32_t slot, Round r);
+  /// Slot of `leader`, the label slot's decision names: the memo in
+  /// leader_slot_ if it still holds that label, else find_slot (kNoSlot
+  /// when no robot has it).
+  std::uint32_t leader_slot(std::uint32_t slot, RobotId leader);
 
   /// Every active robot's decide step, on the global clock (local =
   /// r − release) or the activation-ledger clock (see engine.cpp).
@@ -405,8 +448,13 @@ class Engine {
   /// After all of a round's moves: unlink the movers from their sources
   /// and insert them into their destinations' label-sorted lists. Leaves
   /// every touched node in touched_nodes_ (a node both left and entered
-  /// may appear twice).
+  /// may appear twice), except the destination of an intact group move,
+  /// whose list is the source's, handed over whole.
   void splice_arrivals(Round r);
+  /// After the occupancy wakeups: walk the node of every slot in
+  /// changed_slots_ once, voiding the standing promises and waking the
+  /// follow sleepers there.
+  void void_changed_views(Round r);
 
   /// Label lookup; kNoSlot when no robot has this label.
   [[nodiscard]] std::uint32_t find_slot(RobotId id) const;

@@ -39,7 +39,8 @@ struct NodeRec {
   Round view_stamp = kNoRound; ///< round the memoized view is valid for
   /// Move-splice scratch: the round this node was last listed as touched
   /// (as a source until the departures are unlinked, then as a
-  /// destination), so each is listed once without sorting.
+  /// destination), so each is listed once without sorting; after the
+  /// splice, the round its occupants were last walked for wakeups.
   Round touch_stamp = kNoRound;
 };
 

@@ -30,18 +30,26 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace gather::support {
 
-/// Number of workers to use by default: hardware concurrency, overridable
-/// with the GATHER_THREADS environment variable (0 or 1 = serial).
-[[nodiscard]] unsigned default_thread_count();
-
 /// The most OS threads one parallel_for_index call starts, whatever
 /// thread count a spec, a service config or GATHER_THREADS asks for.
 inline constexpr unsigned kMaxWorkers = 256;
+
+/// A GATHER_THREADS value: a plain decimal (digits only, no sign or
+/// space), clamped to kMaxWorkers; nullopt for anything else.
+[[nodiscard]] std::optional<unsigned> parse_thread_count(
+    std::string_view text) noexcept;
+
+/// Number of workers to use by default: hardware concurrency, overridable
+/// with the GATHER_THREADS environment variable (0 or 1 = serial). A
+/// malformed value (see parse_thread_count) counts as unset.
+[[nodiscard]] unsigned default_thread_count();
 
 /// Workers parallel_for_index starts for `count` indices when asked for
 /// `threads`: min(threads, count, kMaxWorkers). At most 1 means it runs

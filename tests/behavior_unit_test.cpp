@@ -45,7 +45,8 @@ RobotPublicState state(RobotId id, StateTag tag, RobotId gid) {
 // The id-keyed helpers search the id-sorted view (binary search, or a
 // walk from the back); each must agree with a plain linear scan on every
 // id: present, absent, below and above the view, the robot itself, and
-// terminated entries.
+// terminated entries. The same holds for min_live_id and for the
+// Undispersed role rule built on these reads.
 TEST(ViewHelpers, MatchLinearReferenceOnRandomSortedViews) {
   support::Xoshiro256 rng(2023);
   for (int trial = 0; trial < 400; ++trial) {
@@ -88,7 +89,36 @@ TEST(ViewHelpers, MatchLinearReferenceOnRandomSortedViews) {
           << "trial " << trial << " self " << query;
       EXPECT_EQ(max_other_id(view, query), max_other)
           << "trial " << trial << " self " << query;
+
+      // Role assignment (§2.2) as UndispersedBehavior makes it, against
+      // the linear rule: alone -> waiter, else the minimum live id
+      // (itself included) is the finder and the rest are its helpers.
+      if (linear != entries.end() && linear->tag != StateTag::Terminated) {
+        RobotId min_live = query;
+        for (const RobotPublicState& s : entries) {
+          if (s.tag != StateTag::Terminated) {
+            min_live = std::min(min_live, s.id);
+          }
+        }
+        const StateTag expected = others == 0          ? StateTag::Waiter
+                                  : min_live == query ? StateTag::Finder
+                                                      : StateTag::Helper;
+        const RobotId expected_group = others == 0 ? 0 : min_live;
+        UndispersedBehavior b(query, /*n=*/5, /*start=*/0);
+        const BehaviorResult r = b.step(view);
+        EXPECT_EQ(r.tag, expected) << "trial " << trial << " self " << query;
+        EXPECT_EQ(r.group_id, expected_group)
+            << "trial " << trial << " self " << query;
+      }
     }
+    RobotId first_live = 0;
+    for (const RobotPublicState& s : entries) {
+      if (s.tag != StateTag::Terminated) {
+        first_live = s.id;
+        break;
+      }
+    }
+    EXPECT_EQ(min_live_id(view), first_live) << "trial " << trial;
   }
 }
 

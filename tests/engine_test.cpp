@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -454,6 +456,23 @@ TEST(Engine, NoMessagesWhenAlone) {
   engine.add_robot(std::make_unique<ScriptedRobot>(1, walk_then_terminate(2)), 0);
   const RunResult result = engine.run();
   EXPECT_EQ(result.metrics.total_message_bits, 0u);
+}
+
+TEST(Engine, ContractMessagesNameSourcesFromTheCheckoutRoot) {
+  // The library maps its source directory out of __FILE__, so a contract
+  // message (which a trace may store) is the same bytes in any checkout.
+  const graph::Graph g = graph::make_path(3);
+  std::string what;
+  try {
+    const Engine engine(g, config_with_cap(0));  // hard_cap must be > 0
+  } catch (const ContractViolation& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find(" at src/sim/engine.cpp:"), std::string::npos) << what;
+  const std::string data = GATHER_TEST_DATA_DIR;
+  const std::string source_dir = data.substr(0, data.rfind("/tests/data"));
+  ASSERT_FALSE(source_dir.empty());
+  EXPECT_EQ(what.find(source_dir), std::string::npos) << what;
 }
 
 // ---- crowded one-node runs -----------------------------------------------
@@ -918,6 +937,227 @@ TEST(FollowSleeps, CrashedSleepersSettleTheirPolls) {
     }
   }
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+}
+
+// ---- standing promises and group handoffs (global clock) -----------------
+
+/// "" when two runs' results agree in every field, consult counts and
+/// message bits included; else the first field that differs.
+std::string result_difference(const RunResult& a, const RunResult& b) {
+  const RunMetrics& x = a.metrics;
+  const RunMetrics& y = b.metrics;
+  if (x.trace_hash != y.trace_hash) return "trace_hash";
+  if (x.rounds != y.rounds) return "rounds";
+  if (x.first_gathered != y.first_gathered) return "first_gathered";
+  if (x.first_termination != y.first_termination) return "first_termination";
+  if (x.last_termination != y.last_termination) return "last_termination";
+  if (x.total_moves != y.total_moves) return "total_moves";
+  if (x.moves_per_robot != y.moves_per_robot) return "moves_per_robot";
+  if (x.total_message_bits != y.total_message_bits) return "message_bits";
+  if (x.decision_calls != y.decision_calls) return "decision_calls";
+  if (x.simulated_rounds != y.simulated_rounds) return "simulated_rounds";
+  if (a.hit_round_cap != b.hit_round_cap) return "hit_round_cap";
+  if (a.all_terminated != b.all_terminated) return "all_terminated";
+  if (a.gathered_at_end != b.gathered_at_end) return "gathered_at_end";
+  if (a.detection_correct != b.detection_correct) return "detection_correct";
+  if (a.false_announcement != b.false_announcement) return "false_announcement";
+  if (a.gather_node != b.gather_node) return "gather_node";
+  return "";
+}
+
+/// The hard cap run_gathering derives for a Faster-Gathering scenario.
+Round derived_cap(const scenario::ResolvedScenario& r) {
+  const Round cap = core::Schedule::make(r.run_spec.config).hard_cap();
+  return r.run_spec.scheduler != nullptr ? r.run_spec.scheduler->extend_cap(cap)
+                                         : cap;
+}
+
+TEST(EngineProfile, CrowdedGroupsReplayPromisesAndHandOverWhole) {
+  // The grid n=40, k=160 crowded pin (kCrowdedPins), synchronous: while
+  // the finder maps with its helpers as the token, most helper consults
+  // are answered from their standing Follow promise, and every token
+  // move hands the group's occupant list over whole. A trace recorder
+  // turns replays off; the run it records polls every consult and must
+  // produce the same result. Handoffs do not depend on the recorder.
+  scenario::ScenarioSpec spec;
+  spec.family = "grid";
+  spec.n = 40;
+  spec.k = 160;
+  spec.placement = "one-node";
+  spec.seed = 1;
+  const scenario::ResolvedScenario r = scenario::resolve(spec);
+  const ProfiledRun replaying = run_profiled(r, derived_cap(r), nullptr, false);
+  const ProfiledRun polling = run_profiled(r, derived_cap(r), nullptr, true);
+  ASSERT_EQ(replaying.error, "");
+  ASSERT_EQ(polling.error, "");
+  EXPECT_EQ(result_difference(polling.result, replaying.result), "");
+  EXPECT_EQ(replaying.result.metrics.trace_hash, 3051456137833351700ULL);
+  EXPECT_EQ(replaying.result.metrics.decision_calls, 64880u);
+  EXPECT_EQ(replaying.profile.replayed_follows, 39591u);
+  EXPECT_EQ(replaying.profile.group_handoffs, 2250u);
+  EXPECT_EQ(polling.profile.replayed_follows, 0u);
+  EXPECT_EQ(polling.profile.group_handoffs, 2250u);
+}
+
+TEST(StandingPromises, ReplayingRunsMatchPollingRuns) {
+  // Differential referee for replayed promises: every pure family from
+  // one-node, undispersed and dispersed starts under each global-clock
+  // adversary, run once recorded (polling every consult) and once
+  // replaying. The results must agree exactly, consult counts and
+  // message bits included. Dispersed starts need k <= n, so they run at
+  // k = 4 only.
+  struct Case {
+    std::string family;
+    std::string placement;
+    std::string scheduler;
+    std::size_t k;
+    std::uint64_t seed;
+  };
+  std::vector<Case> cases;
+  for (const char* family :
+       {"ring", "path", "complete", "star", "grid", "torus", "hypercube",
+        "binary-tree", "lollipop", "barbell", "caterpillar", "wheel",
+        "bipartite", "tree", "random", "regular"}) {
+    for (const char* placement : {"one-node", "undispersed", "dispersed"}) {
+      for (const char* scheduler :
+           {"synchronous", "adversarial-delay", "crash-fault"}) {
+        for (const std::size_t k : {std::size_t{4}, std::size_t{24}}) {
+          if (k > 12 && std::string(placement) == "dispersed") continue;
+          for (const std::uint64_t seed : {1u, 2u}) {
+            cases.push_back({family, placement, scheduler, k, seed});
+          }
+        }
+      }
+    }
+  }
+  std::vector<std::string> failures(cases.size());
+  std::vector<std::uint64_t> replayed(cases.size(), 0);
+  support::parallel_for_index(
+      cases.size(), support::default_thread_count(), [&](std::size_t i) {
+        const Case& c = cases[i];
+        scenario::ScenarioSpec spec;
+        spec.family = c.family;
+        spec.n = 12;
+        spec.k = c.k;
+        spec.placement = c.placement;
+        spec.scheduler = c.scheduler;
+        spec.seed = c.seed;
+        const scenario::ResolvedScenario r = scenario::resolve(spec);
+        const auto& sched = r.run_spec.scheduler;
+        const Round cap = derived_cap(r);
+        const ProfiledRun polling = run_profiled(r, cap, sched, true);
+        const ProfiledRun replaying = run_profiled(r, cap, sched, false);
+        std::string diff;
+        if (polling.error != replaying.error) {
+          diff = "error";
+        } else if (polling.error.empty()) {
+          diff = result_difference(polling.result, replaying.result);
+        }
+        if (diff.empty() && polling.profile.replayed_follows != 0) {
+          diff = "recorded run replayed";
+        }
+        replayed[i] = replaying.profile.replayed_follows;
+        if (!diff.empty()) {
+          failures[i] = c.family + "/" + c.placement + "/" + c.scheduler +
+                        " k " + std::to_string(c.k) + " seed " +
+                        std::to_string(c.seed) + ": " + diff;
+        }
+      });
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+  // Not vacuous: the undispersed starts replay.
+  EXPECT_GT(std::accumulate(replayed.begin(), replayed.end(), std::uint64_t{0}),
+            0u);
+}
+
+TEST(StandingPromises, StateChangesAtAnIntactDestinationVoidThem) {
+  // Three robots walk a path as one group, the two followers promising
+  // to follow robot 1 until local round 1000 while their view holds.
+  // Every group move lands on an empty node, so the list is handed over
+  // and the promises stand. At round 5 the leader changes its tag while
+  // it moves; that voids the promises at the destination, and from round
+  // 6 the followers see the tag and stay behind (and keep staying once
+  // the leader has left). A follower still replaying its promise would
+  // walk on to round 10.
+  const graph::Graph g = graph::make_path(32);
+  const auto leader = [](ScriptedRobot& self, const RoundView& view) {
+    if (view.round >= 20) return Action::terminate();
+    if (view.round >= 10) return Action::stay_until_round(20);
+    if (view.round == 5) self.set_tag(StateTag::Finder);
+    return Action::move(view.round == 0 ? 0 : 1);
+  };
+  const auto follower = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= 20) return Action::terminate();
+    const RobotPublicState& first = view.colocated.front();
+    if (first.id != 1 || first.tag == StateTag::Finder) {
+      return Action::stay_until_round(20);
+    }
+    return Action::follow(1, 1000);
+  };
+  ProfiledRun runs[2];
+  for (int record = 0; record < 2; ++record) {
+    TraceRecorder recorder;
+    EngineConfig cfg = config_with_cap(100);
+    cfg.profile = &runs[record].profile;
+    if (record == 1) cfg.trace_recorder = &recorder;
+    Engine engine(g, cfg);
+    engine.add_robot(std::make_unique<ScriptedRobot>(1, leader), 0);
+    engine.add_robot(std::make_unique<ScriptedRobot>(2, follower), 0);
+    engine.add_robot(std::make_unique<ScriptedRobot>(3, follower), 0);
+    runs[record].result = engine.run();
+    ASSERT_TRUE(runs[record].result.all_terminated) << record;
+  }
+  const RunMetrics& m = runs[0].result.metrics;
+  EXPECT_EQ(m.moves_per_robot, (std::vector<std::uint64_t>{10, 6, 6}));
+  EXPECT_EQ(result_difference(runs[1].result, runs[0].result), "");
+  // Rounds 1..5: both followers replay. Handoffs: six group moves, then
+  // the leader's lone moves at rounds 7..9 (round 6 leaves the followers).
+  EXPECT_EQ(runs[0].profile.replayed_follows, 10u);
+  EXPECT_EQ(runs[0].profile.group_handoffs, 9u);
+  EXPECT_EQ(runs[1].profile.replayed_follows, 0u);
+}
+
+TEST(EngineOccupancy, GroupMovesHandOverOnlyTheirOwnList) {
+  // Robots 5 and 7 walk a path from node 0, where robot 1 stays, to node
+  // 3, where robot 2 stays: the first move leaves a robot behind, the
+  // second lands on an empty node (the one list handed over whole), the
+  // third on an occupied one. Every robot polls every round and logs the
+  // labels it sees, which must be exactly the robots at its node.
+  const graph::Graph g = graph::make_path(8);
+  for (const bool naive : {false, true}) {
+    std::map<RobotId, std::string> seen;
+    const auto log = [&seen](const RoundView& view, RobotId self) {
+      std::string& out = seen[self];
+      out += "r" + std::to_string(view.round) + ":";
+      for (const RobotPublicState& s : view.colocated) {
+        out += std::to_string(s.id) + ",";
+      }
+    };
+    const auto walker = [&log](ScriptedRobot& self, const RoundView& view) {
+      log(view, self.id());
+      if (view.round >= 5) return Action::terminate();
+      if (view.round >= 4) return Action::stay_one(view.round);
+      if (self.id() == 7) return Action::follow(5);
+      return Action::move(view.round == 0 ? 0 : 1);
+    };
+    const auto stayer = [&log](ScriptedRobot& self, const RoundView& view) {
+      log(view, self.id());
+      if (view.round >= 5) return Action::terminate();
+      return Action::stay_one(view.round);
+    };
+    EngineConfig cfg = config_with_cap(20);
+    cfg.naive_stepping = naive;
+    Engine engine(g, cfg);
+    engine.add_robot(std::make_unique<ScriptedRobot>(7, walker), 0);
+    engine.add_robot(std::make_unique<ScriptedRobot>(5, walker), 0);
+    engine.add_robot(std::make_unique<ScriptedRobot>(2, stayer), 3);
+    engine.add_robot(std::make_unique<ScriptedRobot>(1, stayer), 0);
+    (void)engine.run();
+    EXPECT_EQ(seen[1], "r0:1,5,7,r1:1,r2:1,r3:1,r4:1,r5:1,") << naive;
+    EXPECT_EQ(seen[2], "r0:2,r1:2,r2:2,r3:2,5,7,r4:2,r5:2,") << naive;
+    EXPECT_EQ(seen[5], "r0:1,5,7,r1:5,7,r2:5,7,r3:2,5,7,r4:5,7,r5:5,7,")
+        << naive;
+    EXPECT_EQ(seen[7], seen[5]) << naive;
+  }
 }
 
 TEST(EngineOccupancy, ViewsStaySortedByLabelThroughEverySplicePath) {

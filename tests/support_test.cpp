@@ -220,6 +220,24 @@ TEST(ParallelFor, WorkerCountIsCapped) {
   static_assert(kMaxWorkers == 256);
 }
 
+TEST(ParallelFor, ThreadCountParsesPlainDecimalsOnly) {
+  // The GATHER_THREADS parser, without touching the environment.
+  EXPECT_EQ(parse_thread_count("0"), 0u);
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("007"), 7u);
+  EXPECT_EQ(parse_thread_count("256"), kMaxWorkers);
+  // Large values clamp to the cap instead of wrapping around.
+  EXPECT_EQ(parse_thread_count("257"), kMaxWorkers);
+  EXPECT_EQ(parse_thread_count("4294967296"), kMaxWorkers);
+  EXPECT_EQ(parse_thread_count("4294967297"), kMaxWorkers);
+  EXPECT_EQ(parse_thread_count("99999999999999999999999999"), kMaxWorkers);
+  for (const char* bad : {"", "abc", "-1", "+2", " 2", "2 ", "2x", "0x10",
+                          "1e3", "3.5"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
+
 TEST(ParallelFor, VisitsAllIndicesOnce) {
   std::vector<std::atomic<int>> counts(1000);
   parallel_for_index(1000, 8, [&](std::size_t i) { counts[i]++; });
