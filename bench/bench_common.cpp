@@ -1,21 +1,7 @@
 #include "bench_common.hpp"
 
 #include <chrono>
-#include <cstring>
-#include <fstream>
-#include <locale>
 #include <sstream>
-#include <thread>
-
-#if defined(__linux__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
-#include "support/json.hpp"
-
-#if __has_include("gather_git_describe.h")
-#include "gather_git_describe.h"  // build-time stamp (bench/git_describe.cmake)
-#endif
 
 namespace gather::bench {
 
@@ -86,120 +72,6 @@ std::unique_ptr<support::CsvWriter> maybe_csv(
   if (dir.empty()) return nullptr;
   return std::make_unique<support::CsvWriter>(dir + "/" + name + ".csv",
                                               header);
-}
-
-// ---- BENCH_<id>.json ------------------------------------------------------
-
-namespace {
-
-using support::json_escape;
-
-std::string git_describe() {
-#ifdef GATHER_GIT_DESCRIBE
-  return GATHER_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
-
-// std::thread::hardware_concurrency() may legally return 0 or a stale 1
-// inside containers/cgroups; prefer the kernel's online-CPU count so the
-// machine stanza in committed baselines describes the real host.
-unsigned hardware_threads() {
-#if defined(__linux__) || defined(__APPLE__)
-  const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
-  if (n > 0) return static_cast<unsigned>(n);
-#endif
-  const unsigned fallback = std::thread::hardware_concurrency();
-  return fallback == 0 ? 1 : fallback;
-}
-
-std::string compiler_id() {
-#if defined(__VERSION__) && defined(__clang__)
-  return std::string("clang ") + __VERSION__;
-#elif defined(__VERSION__)
-  return std::string("gcc ") + __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-}  // namespace
-
-BenchJson::BenchJson(std::string bench_id) : bench_id_(std::move(bench_id)) {}
-
-void BenchJson::add_row(
-    std::vector<std::pair<std::string, std::string>> params,
-    std::uint64_t rounds, double wall_ms) {
-  rows_.push_back(BenchJsonRow{std::move(params), rounds, wall_ms});
-}
-
-void BenchJson::write(std::ostream& os) const {
-  os << "{\n";
-  os << "  \"bench_id\": \"" << json_escape(bench_id_) << "\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"git_describe\": \"" << json_escape(git_describe()) << "\",\n";
-  os << "  \"machine\": {\n";
-  os << "    \"compiler\": \"" << json_escape(compiler_id()) << "\",\n";
-  os << "    \"hardware_threads\": " << hardware_threads() << ",\n";
-#if defined(__linux__)
-  os << "    \"platform\": \"linux\"\n";
-#elif defined(__APPLE__)
-  os << "    \"platform\": \"darwin\"\n";
-#else
-  os << "    \"platform\": \"other\"\n";
-#endif
-  os << "  },\n";
-  os << "  \"rows\": [";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const BenchJsonRow& row = rows_[i];
-    os << (i == 0 ? "\n" : ",\n") << "    { \"params\": { ";
-    for (std::size_t p = 0; p < row.params.size(); ++p) {
-      if (p != 0) os << ", ";
-      os << "\"" << json_escape(row.params[p].first) << "\": \""
-         << json_escape(row.params[p].second) << "\"";
-    }
-    std::ostringstream wall;  // locale-independent, keeps sub-µs rows nonzero
-    wall.imbue(std::locale::classic());
-    wall.precision(9);
-    wall << row.wall_ms;
-    os << " }, \"rounds\": " << row.rounds << ", \"wall_ms\": " << wall.str()
-       << " }";
-  }
-  os << (rows_.empty() ? "]\n" : "\n  ]\n");
-  os << "}\n";
-}
-
-bool BenchJson::write_file(const std::string& path) const {
-  if (path.empty()) return true;
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench: cannot open --json path '" << path << "'\n";
-    return false;
-  }
-  write(out);
-  out.flush();
-  if (!out) {
-    std::cerr << "bench: failed writing --json path '" << path << "'\n";
-    return false;
-  }
-  std::cout << "wrote " << path << "\n";
-  return true;
-}
-
-std::string extract_json_flag(int& argc, char** argv) {
-  const char* const prefix = "--json=";
-  std::string path;
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
-      path = argv[i] + std::strlen(prefix);
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
-  return path;
 }
 
 }  // namespace gather::bench

@@ -79,52 +79,4 @@ struct Measurement {
 [[nodiscard]] std::unique_ptr<support::CsvWriter> maybe_csv(
     const std::string& name, const std::vector<std::string>& header);
 
-// ---- machine-readable perf baselines (BENCH_<id>.json) -------------------
-//
-// Every bench can emit a stable-schema JSON record so PRs accumulate a
-// perf trajectory that scripts can diff. Schema v1:
-//
-//   {
-//     "bench_id": "<id>",
-//     "schema_version": 1,
-//     "git_describe": "<git describe --always --dirty, stamped at build time>",
-//     "machine": { "compiler": "...", "hardware_threads": N,
-//                  "platform": "..." },
-//     "rows": [ { "params": { "<k>": "<v>", ... },
-//                 "rounds": <uint>, "wall_ms": <double> }, ... ]
-//   }
-//
-// `rounds` is the bench's primary count (simulated rounds, iterations,
-// ...; 0 when not meaningful); `wall_ms` is the row's wall-clock cost.
-
-/// One JSON row: ordered params plus the two numeric fields.
-struct BenchJsonRow {
-  std::vector<std::pair<std::string, std::string>> params;
-  std::uint64_t rounds = 0;
-  double wall_ms = 0.0;
-};
-
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench_id);
-
-  void add_row(std::vector<std::pair<std::string, std::string>> params,
-               std::uint64_t rounds, double wall_ms);
-
-  void write(std::ostream& os) const;
-
-  /// Write to `path` ("" = no-op returning true); false + stderr note on
-  /// IO failure.
-  bool write_file(const std::string& path) const;
-
- private:
-  std::string bench_id_;
-  std::vector<BenchJsonRow> rows_;
-};
-
-/// Extract `--json=<path>` from an argv (removing it, so remaining flags
-/// can be handed to another parser, e.g. google-benchmark's). Returns the
-/// path, or "" when the flag is absent.
-[[nodiscard]] std::string extract_json_flag(int& argc, char** argv);
-
 }  // namespace gather::bench

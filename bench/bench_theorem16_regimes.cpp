@@ -23,7 +23,7 @@ struct Regime {
   int max_stage_hop;  // stage that must suffice
 };
 
-void run(const std::string& json_path) {
+void run() {
   using support::TextTable;
   support::print_banner(std::cout,
                         "E-T16  Theorem 16: the three k-regimes (headline)");
@@ -58,7 +58,6 @@ void run(const std::string& json_path) {
                    "achieved stage", "fit input", "detection"});
   auto csv = maybe_csv("theorem16", {"family", "regime", "n", "k", "mindist",
                                      "rounds", "stage", "detection"});
-  BenchJson json("theorem16_regimes");
   TextTable fits({"family", "regime", "rounds growth", "expected"});
 
   // Rows arrive grouped family -> k-rule -> n (the sweep's documented
@@ -97,15 +96,6 @@ void run(const std::string& json_path) {
                             row.outcome.gathered_stage_hop)),
                         detection_cell(row.outcome)});
         }
-        json.add_row(
-            {{"family", family},
-             {"regime", regime.name},
-             {"n", std::to_string(row.realized_n)},
-             {"k", std::to_string(row.spec.k)},
-             {"mindist", std::to_string(row.min_pair_distance)},
-             {"stage", std::to_string(row.outcome.gathered_stage_hop)},
-             {"detection", detection_cell(row.outcome)}},
-            row.outcome.result.metrics.rounds, row.wall_seconds * 1e3);
       }
       fits.add_row({family, regime.name, fitted_exponent(ns, rounds),
                     regime.expected});
@@ -113,9 +103,6 @@ void run(const std::string& json_path) {
   }
   table.print(std::cout);
   fits.print(std::cout);
-  if (!json.write_file(json_path)) {
-    throw std::runtime_error("failed to write " + json_path);
-  }
   std::cout
       << "Shape check: regime (i) resolves by stage 2 with ~n^3 rounds;\n"
          "regime (ii) by stage 4 within O(n^4 log n); regime (iii) falls\n"
@@ -127,12 +114,7 @@ void run(const std::string& json_path) {
 }  // namespace
 }  // namespace gather::bench
 
-int main(int argc, char** argv) {
-  const std::string json_path = gather::bench::extract_json_flag(argc, argv);
-  if (argc > 1) {
-    std::cerr << "usage: bench_theorem16_regimes [--json=<path>]\n";
-    return 1;
-  }
-  gather::bench::run(json_path);
+int main() {
+  gather::bench::run();
   return 0;
 }

@@ -646,8 +646,14 @@ RunResult Engine::run() {
         heap_pop();
         admit(slot);
       }
+      if (prof_ != nullptr) {
+        prof_->wake_slot_visits += visited;
+        if (!active_.empty() &&
+            std::is_sorted(active_.begin(), active_.end())) {
+          ++prof_->presorted_rounds;
+        }
+      }
       std::sort(active_.begin(), active_.end());
-      if (prof_ != nullptr) prof_->wake_slot_visits += visited;
     }
     if (active_.empty()) {
       // Only an adversary can empty a round (everyone dormant, suppressed,

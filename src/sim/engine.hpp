@@ -183,6 +183,9 @@ struct EngineProfile {
   /// Rounds whose moves all left one node, emptied it, and landed on one
   /// node that held no robot: the occupant list was handed over whole.
   std::uint64_t group_handoffs = 0;
+  /// Skip-mode rounds whose admitted set was already in slot order
+  /// before the wake collection sorted it.
+  std::uint64_t presorted_rounds = 0;
 };
 
 struct EngineConfig {
@@ -197,8 +200,7 @@ struct EngineConfig {
   bool stop_when_gathered = false;
   /// Opt-in binary trace sink (sim/trace.hpp), non-owning; must outlive
   /// run(). Null (the default) costs the hot path one predicted-false
-  /// branch per round and per move/termination — nothing else (pinned
-  /// against BENCH_engine.json by bench/bench_engine_throughput.cpp).
+  /// branch per round and per move/termination — nothing else.
   TraceRecorder* trace_recorder = nullptr;
   /// Opt-in wake-phase work counters, non-owning; must outlive run().
   /// Null (the default) costs one predicted-false branch per heap

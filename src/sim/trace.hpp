@@ -37,8 +37,8 @@
 //
 // The recorder is an opt-in sink (EngineConfig::trace_recorder, null by
 // default): when disabled the engine pays one predicted-false branch per
-// round and per move, nothing else — pinned against BENCH_engine.json
-// by the interleaved A/B in bench/bench_engine_throughput.cpp.
+// round and per move, nothing else. tests/engine_test.cpp pins that a
+// recorded run reproduces the unrecorded one's counters.
 //
 // Layer contract: sim/ (no dependency on scenario/ or core/); depends
 // on support/ only. Harness surfaces: scenario::ScenarioSpec::

@@ -1,5 +1,5 @@
 // Minimal JSON string escaping shared by every machine-readable emitter
-// (scenario sweep JSON, bench BENCH_*.json). Escapes quotes, backslash,
+// (scenario sweep JSON, the C ABI replay report). Escapes quotes, backslash,
 // and control characters; everything else passes through byte-for-byte.
 //
 // Layer contract (src/support/): pure utilities with no knowledge of the

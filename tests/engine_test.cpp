@@ -16,11 +16,14 @@
 #include "core/run.hpp"
 #include "core/schedule.hpp"
 #include "graph/generators.hpp"
+#include "graph/implicit.hpp"
+#include "graph/placement.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "support/assert.hpp"
 #include "support/parallel_for.hpp"
+#include "uxs/uxs.hpp"
 
 namespace gather::sim {
 namespace {
@@ -556,6 +559,80 @@ TEST(EngineCrowded, OneNodeRunsMatchPinsUnderEveryStrategy) {
   }
 }
 
+/// One Faster-Gathering run of a resolved scenario with the engine's
+/// profile attached. A trace recorder turns follow sleeps off, so the
+/// recorded run is the reference that polls every follower at every
+/// activated round. A thrown violation is an outcome, kept by message.
+struct ProfiledRun {
+  RunResult result;
+  EngineProfile profile;
+  std::string error;
+};
+
+ProfiledRun run_profiled(const scenario::ResolvedScenario& r, Round cap,
+                         std::shared_ptr<const Scheduler> scheduler,
+                         bool record) {
+  ProfiledRun out;
+  TraceRecorder recorder;
+  EngineConfig cfg = config_with_cap(cap);
+  cfg.scheduler = std::move(scheduler);
+  cfg.profile = &out.profile;
+  if (record) cfg.trace_recorder = &recorder;
+  Engine engine(*r.graph, cfg);
+  for (const graph::RobotStart& start : r.placement) {
+    engine.add_robot(std::make_unique<core::FasterGatheringRobot>(
+                         start.label, r.run_spec.config),
+                     start.node);
+  }
+  try {
+    out.result = engine.run();
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// The hard cap run_gathering uses for a Faster-Gathering scenario: the
+/// spec's own, else the one derived from the schedule.
+Round derived_cap(const scenario::ResolvedScenario& r) {
+  if (r.run_spec.hard_cap != 0) return r.run_spec.hard_cap;
+  const Round cap = core::Schedule::make(r.run_spec.config).hard_cap();
+  return r.run_spec.scheduler != nullptr ? r.run_spec.scheduler->extend_cap(cap)
+                                         : cap;
+}
+
+// ---- work counts ---------------------------------------------------------
+
+/// The work a counter pin compares, printed field by field on mismatch.
+struct WorkCounts {
+  std::uint64_t trace_hash;
+  std::uint64_t decision_calls;
+  std::uint64_t total_moves;
+  std::uint64_t simulated_rounds;
+  std::uint64_t heap_pushes;
+  std::uint64_t presorted_rounds;
+  bool operator==(const WorkCounts&) const = default;
+};
+
+void PrintTo(const WorkCounts& c, std::ostream* os) {
+  *os << "{trace_hash " << c.trace_hash << ", decision_calls "
+      << c.decision_calls << ", total_moves " << c.total_moves
+      << ", simulated_rounds " << c.simulated_rounds << ", heap_pushes "
+      << c.heap_pushes << ", presorted_rounds " << c.presorted_rounds << "}";
+}
+
+WorkCounts work_counts(const RunResult& result, const EngineProfile& prof) {
+  const RunMetrics& m = result.metrics;
+  return {m.trace_hash,       m.decision_calls, m.total_moves,
+          m.simulated_rounds, prof.heap_pushes, prof.presorted_rounds};
+}
+
+/// Stays 10,000 local rounds at a time; terminates at local round 100,000.
+Action long_sleeper(ScriptedRobot&, const RoundView& view) {
+  if (view.round >= 100000) return Action::terminate();
+  return Action::stay_until_round(view.round + 10000);
+}
+
 // ---- wake machinery: complexity pin and bucket/heap boundaries -----------
 
 TEST(EngineProfile, SkipModeWakeCollectionIsLinearInActiveRobots) {
@@ -608,45 +685,68 @@ TEST(EngineProfile, SkipModeWakeCollectionIsLinearInActiveRobots) {
   EXPECT_EQ(profiles[1].wake_slot_visits,
             kSlots * results[1].metrics.simulated_rounds);
   EXPECT_EQ(profiles[1].heap_pushes + profiles[1].heap_pops, 0u);
+
+  // The quiet schedule: one long sleeper on a ring of 8. Skip mode
+  // simulates its 11 wakes; naive stepping every round up to the last.
+  const graph::Graph ring = graph::make_ring(8);
+  const WorkCounts kQuiet[] = {
+      {1296555109371235369ULL, 11, 0, 11, 10, 11},
+      {1296555109371235369ULL, 100001, 0, 100001, 0, 0}};
+  for (int mode = 0; mode < 2; ++mode) {
+    EngineProfile prof;
+    EngineConfig cfg = config_with_cap(200000);
+    cfg.naive_stepping = mode == 1;
+    cfg.profile = &prof;
+    Engine engine(ring, cfg);
+    engine.add_robot(std::make_unique<ScriptedRobot>(1, long_sleeper), 0);
+    EXPECT_EQ(work_counts(engine.run(), prof), kQuiet[mode]) << mode;
+  }
 }
 
 TEST(EngineProfile, DispersedLadderSleepersKeepOneHeapEntryPerDeadline) {
   // Faster-Gathering from a dispersed start: ladder sleepers are woken
   // early by occupancy changes and go back to sleep until the same stage
   // boundary. Each re-sleep must revive the slot's queued heap entry, not
-  // queue another. Before that dedupe this fixture measured
+  // queue another. Before that dedupe the n=64 fixture measured
   // heap_pushes 49,983 (0.31 per decision), heap_peak 33,578 and 193,226
   // wake visits for 159,669 decisions; now heap_pushes is 3,800 and
-  // heap_peak 34.
-  scenario::ScenarioSpec spec;
-  spec.family = "torus";
-  spec.n = 64;
-  spec.k = 33;
-  spec.placement = "dispersed";
-  spec.seed = 3;
-  const scenario::ResolvedScenario r = scenario::resolve(spec);
-  EngineProfile prof;
-  EngineConfig cfg = config_with_cap(
-      core::Schedule::make(r.run_spec.config).hard_cap());
-  cfg.profile = &prof;
-  Engine engine(*r.graph, cfg);
-  for (const graph::RobotStart& start : r.placement) {
-    engine.add_robot(std::make_unique<core::FasterGatheringRobot>(
-                         start.label, r.run_spec.config),
-                     start.node);
+  // heap_peak 34. The n=136, k=69 row is Theorem 16's dispersed ladder.
+  struct DispersedPin {
+    std::size_t n;
+    std::size_t k;
+    WorkCounts counts;
+    std::uint64_t heap_peak;
+  };
+  const DispersedPin kPins[] = {
+      {64, 33, {11349777051333746722ULL, 159669, 107316, 8954, 3800, 632}, 34},
+      {136, 69, {773519822048699446ULL, 1288156, 838951, 40503, 15381, 1991},
+       86}};
+  for (const DispersedPin& pin : kPins) {
+    SCOPED_TRACE(pin.n);
+    scenario::ScenarioSpec spec;
+    spec.family = "torus";
+    spec.n = pin.n;
+    spec.k = pin.k;
+    spec.placement = "dispersed";
+    spec.seed = 3;
+    const scenario::ResolvedScenario r = scenario::resolve(spec);
+    const ProfiledRun run = run_profiled(r, derived_cap(r), nullptr, false);
+    const RunResult& result = run.result;
+    const EngineProfile& prof = run.profile;
+    ASSERT_TRUE(result.detection_correct);
+    // The same run as the library's entry point, profile aside.
+    EXPECT_EQ(result.metrics.trace_hash,
+              core::run_gathering(*r.graph, r.placement, r.run_spec)
+                  .result.metrics.trace_hash);
+    const RunMetrics& m = result.metrics;
+    EXPECT_LT(10 * prof.heap_pushes, m.decision_calls);
+    EXPECT_LE(prof.heap_peak, 2 * spec.k);
+    EXPECT_EQ(prof.heap_pops, prof.heap_pushes);
+    // No duplicate is left to skip at collection: one visit per decision.
+    EXPECT_EQ(prof.wake_slot_visits, m.decision_calls);
+    EXPECT_EQ(work_counts(result, prof), pin.counts);
+    EXPECT_EQ(prof.heap_peak, pin.heap_peak);
   }
-  const RunResult result = engine.run();
-  ASSERT_TRUE(result.detection_correct);
-  // The same run as the library's entry point, profile aside.
-  EXPECT_EQ(result.metrics.trace_hash,
-            core::run_gathering(*r.graph, r.placement, r.run_spec)
-                .result.metrics.trace_hash);
-  const RunMetrics& m = result.metrics;
-  EXPECT_LT(10 * prof.heap_pushes, m.decision_calls);
-  EXPECT_LE(prof.heap_peak, 2 * spec.k);
-  EXPECT_EQ(prof.heap_pops, prof.heap_pushes);
-  // No duplicate is left to skip at collection: one visit per decision.
-  EXPECT_EQ(prof.wake_slot_visits, m.decision_calls);
 }
 
 TEST(EngineProfile, SuppressedSleepersReadClocksFromTheLedger) {
@@ -688,39 +788,34 @@ TEST(EngineProfile, SuppressedSleepersReadClocksFromTheLedger) {
   EXPECT_EQ(skip.ledger_blocks, 125u);
   EXPECT_EQ(skip.activation_words, 375u);
   EXPECT_EQ(profiles[1].ledger_blocks + profiles[1].activation_words, 0u);
-}
 
-/// One Faster-Gathering run of a resolved scenario with the engine's
-/// profile attached. A trace recorder turns follow sleeps off, so the
-/// recorded run is the reference that polls every follower at every
-/// activated round. A thrown violation is an outcome, kept by message.
-struct ProfiledRun {
-  RunResult result;
-  EngineProfile profile;
-  std::string error;
-};
-
-ProfiledRun run_profiled(const scenario::ResolvedScenario& r, Round cap,
-                         std::shared_ptr<const Scheduler> scheduler,
-                         bool record) {
-  ProfiledRun out;
-  TraceRecorder recorder;
-  EngineConfig cfg = config_with_cap(cap);
-  cfg.scheduler = std::move(scheduler);
-  cfg.profile = &out.profile;
-  if (record) cfg.trace_recorder = &recorder;
-  Engine engine(*r.graph, cfg);
-  for (const graph::RobotStart& start : r.placement) {
-    engine.add_robot(std::make_unique<core::FasterGatheringRobot>(
-                         start.label, r.run_spec.config),
-                     start.node);
+  // At scale: a long sleeper on every node of a ring of 4 or 16 under
+  // fairness 4 (seed 1), still one word per live slot per block.
+  struct LedgerPin {
+    RobotId robots;
+    WorkCounts counts;
+    std::uint64_t ledger_blocks;
+    std::uint64_t activation_words;
+  };
+  const LedgerPin kLedgerPins[] = {
+      {4, {1580840083532953882ULL, 44, 0, 42, 385, 42}, 2507, 10004},
+      {16, {15039835117131351202ULL, 176, 0, 162, 1526, 161}, 2508, 40014}};
+  for (const LedgerPin& pin : kLedgerPins) {
+    const graph::Graph ring = graph::make_ring(pin.robots);
+    const auto sched = std::make_shared<SemiSynchronousScheduler>(1, 4);
+    EngineProfile prof;
+    EngineConfig cfg = config_with_cap(sched->extend_cap(200000));
+    cfg.scheduler = sched;
+    cfg.profile = &prof;
+    Engine engine(ring, cfg);
+    for (RobotId id = 1; id <= pin.robots; ++id) {
+      engine.add_robot(std::make_unique<ScriptedRobot>(id, long_sleeper),
+                       static_cast<NodeId>(id - 1));
+    }
+    EXPECT_EQ(work_counts(engine.run(), prof), pin.counts) << pin.robots;
+    EXPECT_EQ(prof.ledger_blocks, pin.ledger_blocks) << pin.robots;
+    EXPECT_EQ(prof.activation_words, pin.activation_words) << pin.robots;
   }
-  try {
-    out.result = engine.run();
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  return out;
 }
 
 /// "" when the sleeping run reproduces the polling run's outputs and its
@@ -965,13 +1060,6 @@ std::string result_difference(const RunResult& a, const RunResult& b) {
   return "";
 }
 
-/// The hard cap run_gathering derives for a Faster-Gathering scenario.
-Round derived_cap(const scenario::ResolvedScenario& r) {
-  const Round cap = core::Schedule::make(r.run_spec.config).hard_cap();
-  return r.run_spec.scheduler != nullptr ? r.run_spec.scheduler->extend_cap(cap)
-                                         : cap;
-}
-
 TEST(EngineProfile, CrowdedGroupsReplayPromisesAndHandOverWhole) {
   // The grid n=40, k=160 crowded pin (kCrowdedPins), synchronous: while
   // the finder maps with its helpers as the token, most helper consults
@@ -979,24 +1067,51 @@ TEST(EngineProfile, CrowdedGroupsReplayPromisesAndHandOverWhole) {
   // move hands the group's occupant list over whole. A trace recorder
   // turns replays off; the run it records polls every consult and must
   // produce the same result. Handoffs do not depend on the recorder.
-  scenario::ScenarioSpec spec;
-  spec.family = "grid";
-  spec.n = 40;
-  spec.k = 160;
-  spec.placement = "one-node";
-  spec.seed = 1;
-  const scenario::ResolvedScenario r = scenario::resolve(spec);
-  const ProfiledRun replaying = run_profiled(r, derived_cap(r), nullptr, false);
-  const ProfiledRun polling = run_profiled(r, derived_cap(r), nullptr, true);
-  ASSERT_EQ(replaying.error, "");
-  ASSERT_EQ(polling.error, "");
-  EXPECT_EQ(result_difference(polling.result, replaying.result), "");
-  EXPECT_EQ(replaying.result.metrics.trace_hash, 3051456137833351700ULL);
-  EXPECT_EQ(replaying.result.metrics.decision_calls, 64880u);
-  EXPECT_EQ(replaying.profile.replayed_follows, 39591u);
-  EXPECT_EQ(replaying.profile.group_handoffs, 2250u);
-  EXPECT_EQ(polling.profile.replayed_follows, 0u);
-  EXPECT_EQ(polling.profile.group_handoffs, 2250u);
+  // The implicit-grid rows start k robots on one node of a 64x64 grid,
+  // lazy sequence, capped at round 20,000.
+  struct CrowdedCounterPin {
+    const char* family;
+    std::size_t n;
+    std::size_t k;
+    WorkCounts counts;
+    std::uint64_t replayed_follows;
+    std::uint64_t group_handoffs;
+  };
+  const CrowdedCounterPin kPins[] = {
+      {"grid", 40, 160,
+       {3051456137833351700ULL, 64880, 42140, 2393, 11927, 2393}, 39591,
+       2250},
+      {"implicit-grid", 4096, 250,
+       {1100188015684939892ULL, 323283, 223185, 20001, 50049, 20001}, 202935,
+       19600},
+      {"implicit-grid", 4096, 1000,
+       {4350952759482631113ULL, 1236783, 835185, 20001, 200799, 20001}, 814185,
+       19600}};
+  for (const CrowdedCounterPin& pin : kPins) {
+    SCOPED_TRACE(std::string(pin.family) + " k=" + std::to_string(pin.k));
+    scenario::ScenarioSpec spec;
+    spec.family = pin.family;
+    spec.n = pin.n;
+    spec.k = pin.k;
+    spec.placement = "one-node";
+    spec.seed = 1;
+    if (pin.n == 4096) {
+      spec.sequence = "lazy";
+      spec.hard_cap = 20000;
+    }
+    const scenario::ResolvedScenario r = scenario::resolve(spec);
+    const ProfiledRun replaying =
+        run_profiled(r, derived_cap(r), nullptr, false);
+    const ProfiledRun polling = run_profiled(r, derived_cap(r), nullptr, true);
+    ASSERT_EQ(replaying.error, "");
+    ASSERT_EQ(polling.error, "");
+    EXPECT_EQ(result_difference(polling.result, replaying.result), "");
+    EXPECT_EQ(work_counts(replaying.result, replaying.profile), pin.counts);
+    EXPECT_EQ(replaying.profile.replayed_follows, pin.replayed_follows);
+    EXPECT_EQ(replaying.profile.group_handoffs, pin.group_handoffs);
+    EXPECT_EQ(polling.profile.replayed_follows, 0u);
+    EXPECT_EQ(polling.profile.group_handoffs, pin.group_handoffs);
+  }
 }
 
 TEST(StandingPromises, ReplayingRunsMatchPollingRuns) {
@@ -1361,6 +1476,137 @@ TEST(Engine, TraceRecordsMoves) {
   EXPECT_EQ(moves[0].to, 1u);
   EXPECT_EQ(moves[1].round, 1u);
   EXPECT_EQ(moves[1].from, 1u);
+}
+
+// ---- counter pins: walking swarms, follow chains, whole runs -------------
+
+TEST(EngineProfile, WalkingSwarmsMoveEveryRobotEveryRound) {
+  // k robots, one per node, walk out of port (round mod degree) until
+  // the hard cap: 4, 16 and 64 on an 8x8 torus to round 2,000, 10,000
+  // on an implicit 1000x1000 grid to round 64. In every round 0..cap
+  // each robot is consulted and moves, its wake rides the next-round
+  // bucket, and the active set arrives sorted. A trace recorder
+  // observes the run without changing it.
+  struct SwarmPin {
+    std::size_t k;
+    Round cap;
+    std::uint64_t trace_hash;
+    std::size_t trace_bytes;
+  };
+  constexpr SwarmPin kSwarmPins[] = {
+      {4, 2000, 3491626959819751494ULL, 38090},
+      {16, 2000, 17046035663770908470ULL, 110212},
+      {64, 2000, 12348590485959081881ULL, 398692},
+      {10000, 64, 4684372100452008157ULL, 2689822}};
+  const graph::Graph torus = graph::make_torus(8, 8);
+  const graph::ImplicitGraph grid = graph::ImplicitGraph::grid(1000, 1000);
+  auto walker = [](ScriptedRobot&, const RoundView& view) {
+    return Action::move(static_cast<Port>(view.round % view.degree));
+  };
+  for (const SwarmPin& pin : kSwarmPins) {
+    SCOPED_TRACE(pin.k);
+    const graph::Topology* g = &torus;
+    if (pin.k > torus.num_nodes()) g = &grid;
+    ProfiledRun runs[2];
+    TraceRecorder recorder;
+    for (int record = 0; record < 2; ++record) {
+      EngineConfig cfg = config_with_cap(pin.cap);
+      cfg.profile = &runs[record].profile;
+      if (record == 1) cfg.trace_recorder = &recorder;
+      Engine engine(*g, cfg);
+      for (std::size_t i = 0; i < pin.k; ++i) {
+        engine.add_robot(std::make_unique<ScriptedRobot>(
+                             static_cast<RobotId>(i + 1), walker),
+                         static_cast<NodeId>(i));
+      }
+      runs[record].result = engine.run();
+    }
+    const std::uint64_t robot_rounds = pin.k * (pin.cap + 1);
+    EXPECT_EQ(work_counts(runs[0].result, runs[0].profile),
+              (WorkCounts{pin.trace_hash, robot_rounds, robot_rounds,
+                          pin.cap + 1, 0, pin.cap + 1}));
+    EXPECT_EQ(runs[0].profile.bucket_pushes, robot_rounds + pin.k);
+    EXPECT_EQ(result_difference(runs[1].result, runs[0].result), "");
+    EXPECT_EQ(recorder.bytes().size(), pin.trace_bytes);
+  }
+}
+
+TEST(EngineProfile, FollowChainsMoveWithTheirLeader) {
+  // A leader walks a ring of 16 until the cap at round 512, with a chain
+  // of 2, 8 or 32 robots behind it, each following the next-higher id.
+  // Every round consults every robot and resolves the whole chain.
+  const std::pair<RobotId, std::uint64_t> kChainPins[] = {
+      {2, 9383459032272912648ULL},
+      {8, 9192293587876717414ULL},
+      {32, 1562061260904268853ULL}};
+  const graph::Graph ring = graph::make_ring(16);
+  auto leader = [](ScriptedRobot&, const RoundView&) {
+    return Action::move(1);
+  };
+  for (const auto& [chain, trace_hash] : kChainPins) {
+    EngineProfile prof;
+    EngineConfig cfg = config_with_cap(512);
+    cfg.profile = &prof;
+    Engine engine(ring, cfg);
+    engine.add_robot(std::make_unique<ScriptedRobot>(chain + 1, leader), 0);
+    for (RobotId id = chain; id >= 1; --id) {
+      auto follower = [id](ScriptedRobot&, const RoundView&) {
+        return Action::follow(id + 1);
+      };
+      engine.add_robot(std::make_unique<ScriptedRobot>(id, follower), 0);
+    }
+    const std::uint64_t robot_rounds = 513 * (chain + 1);
+    EXPECT_EQ(work_counts(engine.run(), prof),
+              (WorkCounts{trace_hash, robot_rounds, robot_rounds, 513, 0, 513}))
+        << chain;
+  }
+}
+
+TEST(EngineProfile, UndispersedRingRunsMatchPins) {
+  // Faster-Gathering end to end: 4 robots on random nodes (seed 5) of a
+  // ring of 8, 16 or 32, labels drawn from [1, n^2] (seed 7), covering
+  // sequence.
+  const std::pair<std::size_t, WorkCounts> kRingPins[] = {
+      {8, {10600509601336720638ULL, 234, 172, 121, 31, 115}},
+      {16, {16553240715872479571ULL, 740, 594, 433, 56, 430}},
+      {32, {18182715695318825158ULL, 2502, 2248, 1633, 64, 1628}}};
+  for (const auto& [n, counts] : kRingPins) {
+    const auto ring = std::make_shared<graph::Graph>(graph::make_ring(n));
+    scenario::ResolvedScenario r;
+    r.graph = ring;
+    r.placement = graph::make_placement(
+        graph::nodes_undispersed_random(*ring, 4, 5),
+        graph::labels_random_distinct(4, n, 2, 7));
+    r.run_spec.config =
+        core::make_config(*ring, uxs::make_covering_sequence(*ring, 3));
+    const ProfiledRun run = run_profiled(r, derived_cap(r), nullptr, false);
+    ASSERT_TRUE(run.result.detection_correct) << n;
+    EXPECT_EQ(work_counts(run.result, run.profile), counts) << n;
+  }
+}
+
+TEST(EngineProfile, SuppressedWakeHeapOutgrowsItsReserve) {
+  // Pins a known defect, so that a fix shows as a deliberate re-pin:
+  // under a suppressing scheduler, a slot re-slept to a new deadline
+  // leaves its old heap entry queued until that entry pops, so the wake
+  // heap outgrows the 4·k entries the engine reserves (16 here) and the
+  // skip-mode round loop allocates. Rows of the seed-42 SSYNC sweep over
+  // the pure families (n=12, k=4).
+  const std::pair<const char*, std::uint64_t> kHeapPins[] = {{"wheel", 97},
+                                                             {"star", 74}};
+  for (const auto& [family, heap_peak] : kHeapPins) {
+    scenario::ScenarioSpec spec;
+    spec.family = family;
+    spec.n = 12;
+    spec.k = 4;
+    spec.scheduler = "semi-synchronous";
+    spec.seed = 42;
+    const scenario::ResolvedScenario r = scenario::resolve(spec);
+    const ProfiledRun run =
+        run_profiled(r, derived_cap(r), r.run_spec.scheduler, false);
+    ASSERT_EQ(run.error, "") << family;
+    EXPECT_EQ(run.profile.heap_peak, heap_peak) << family;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // and identical per-row trace hashes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <fstream>
 #include <sstream>
@@ -14,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/spec_text.hpp"
+#include "libgather.h"
 #include "scenario/caches.hpp"
 #include "scenario/graph_cache.hpp"
 #include "scenario/result_cache.hpp"
@@ -317,6 +320,88 @@ TEST(SweepResultCacheTest, TraceDirBypassesTheMemo) {
   EXPECT_EQ(stats.result_cache.hits, 0u);
   EXPECT_EQ(stats.result_cache.misses, 0u);
   EXPECT_EQ(stats.result_cache.entries, 0u);
+}
+
+TEST(SweepResultCacheTest, AcceptanceGridColdThenWarm) {
+  // Every pure family under all four schedulers, n=12, k=4, seed 1: 64
+  // rows, run cold then warm through SweepRunner on one Caches and
+  // through the C ABI on one service. The 16 graphs are built once and
+  // shared by the schedulers' rows. Known gap, pinned so that closing it
+  // shows as a deliberate re-pin: protocol-violation rows and infeasible
+  // verdicts are never memoized, so 13 rows miss again on the warm run
+  // and resolve their graphs again. Counters are cumulative.
+  // {result hits, result misses, graph hits, graph misses} after the
+  // cold and the warm call.
+  const std::uint64_t want[2][4] = {{0, 64, 48, 16},
+                                    {51, 64 + 13, 48 + 13, 16}};
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string text =
+        "families=ring,path,complete,star,grid,torus,hypercube,binary-tree,"
+        "lollipop,barbell,caterpillar,wheel,bipartite,tree,random,regular\n"
+        "schedulers=synchronous,adversarial-delay,semi-synchronous,"
+        "crash-fault\nsizes=12\nk=4\nseeds=1\nuse_result_cache=1\n"
+        "threads=" + std::to_string(threads) + "\n";
+    const SweepSpec sweep = api::parse_sweep_spec(text);
+    Caches caches;
+    gather_service* service = gather_service_new();
+    for (int call = 0; call < 2; ++call) {
+      SweepStats stats;
+      const std::vector<SweepRow> rows =
+          SweepRunner::run(sweep, caches, &stats);
+      char* csv = nullptr;
+      ASSERT_EQ(gather_sweep_csv(service, text.c_str(), &csv),
+                GATHER_STATUS_OK);
+      EXPECT_EQ(csv, csv_of(rows));
+      gather_free(csv);
+      gather_cache_stats_s abi{};
+      ASSERT_EQ(gather_cache_stats(service, &abi), GATHER_STATUS_OK);
+      EXPECT_EQ(rows.size(), 64u);
+      EXPECT_EQ((std::array{stats.result_cache.hits, stats.result_cache.misses,
+                            stats.graph_cache.hits, stats.graph_cache.misses}),
+                std::to_array(want[call]))
+          << threads;
+      EXPECT_EQ((std::array{abi.result_hits, abi.result_misses, abi.graph_hits,
+                            abi.graph_misses}),
+                std::to_array(want[call]))
+          << threads;
+    }
+    gather_service_free(service);
+  }
+}
+
+TEST(SweepDeterminismStress, SkewedGridWorkIsIndependentOfThreads) {
+  // Two families x six sizes x three seeds, cache off, maximal stealing:
+  // the n=40 complete-graph points cost orders of magnitude more than
+  // the n=8 rings. Whatever the worker count, every row is simulated
+  // once and each of the 36 graphs is built once.
+  SweepSpec sweep;
+  sweep.families = {"ring", "complete"};
+  sweep.sizes = {8, 12, 16, 24, 32, 40};
+  sweep.base.k = 4;
+  sweep.seeds = {1, 2, 3};
+  sweep.skip_infeasible = true;
+  sweep.tolerate_protocol_violations = true;
+  sweep.steal_chunk = 1;
+  std::string reference_csv;
+  for (const unsigned threads : {1u, 4u}) {
+    sweep.threads = threads;
+    Caches caches;
+    SweepStats stats;
+    const std::vector<SweepRow> rows = SweepRunner::run(sweep, caches, &stats);
+    std::uint64_t decisions = 0;
+    for (const SweepRow& row : rows) {
+      decisions += row.outcome.result.metrics.decision_calls;
+    }
+    if (reference_csv.empty()) reference_csv = csv_of(rows);
+    EXPECT_EQ(csv_of(rows), reference_csv) << threads;
+    EXPECT_EQ(rows.size(), 36u) << threads;
+    EXPECT_EQ(decisions, 1629016u) << threads;
+    EXPECT_EQ(stats.graph_cache.misses, 36u) << threads;
+    EXPECT_EQ(stats.graph_cache.hits + stats.result_cache.hits +
+                  stats.result_cache.misses,
+              0u)
+        << threads;
+  }
 }
 
 TEST(SweepTimingFieldsTest, TimingsNeverReachCsvHeader) {
