@@ -6,6 +6,8 @@
 //   gather_cli --graph=ring --n=16 --k=5 --algorithm=faster
 //   gather_cli --graph-file=my.graph --k=3 --placement=dispersed --dot=out.dot
 //   gather_cli --scheduler=crash-fault --scheduler-params=crashes=1,window=8
+//   gather_cli --graph=torus --n=136 --k=69 --placement=dispersed --profile
+//                                # + the engine's work counters (stderr)
 //   gather_cli --list            # every registry entry with param schemas
 //   gather_cli --list-md         # the same as markdown (docs/SCENARIOS.md)
 //   gather_cli --sweep --families=ring,torus --sizes=9,12,16
@@ -321,6 +323,34 @@ int run_sweep(const support::CliParser& cli, Service& service) {
   return 0;
 }
 
+/// --profile: the run's sim::EngineProfile as one JSON object on one
+/// line. It goes to stderr, never into the report, CSV or JSON rows.
+void print_profile(std::ostream& os, const sim::EngineProfile& p) {
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"heap_pushes", p.heap_pushes},
+      {"bucket_pushes", p.bucket_pushes},
+      {"heap_pops", p.heap_pops},
+      {"heap_peak", p.heap_peak},
+      {"wake_slot_visits", p.wake_slot_visits},
+      {"simulated_rounds", p.simulated_rounds},
+      {"activation_words", p.activation_words},
+      {"ledger_blocks", p.ledger_blocks},
+      {"skipped_polls", p.skipped_polls},
+      {"replayed_follows", p.replayed_follows},
+      {"replayed_routes", p.replayed_routes},
+      {"ridden_stays", p.ridden_stays},
+      {"group_handoffs", p.group_handoffs},
+      {"presorted_rounds", p.presorted_rounds},
+  };
+  os << "{";
+  const char* sep = "";
+  for (const auto& [name, value] : fields) {
+    os << sep << "\"" << name << "\": " << value;
+    sep = ", ";
+  }
+  os << "}\n";
+}
+
 int run_single(const support::CliParser& cli, Service& service) {
   scenario::ScenarioSpec spec = api::parse_run_spec(spec_text(cli));
   apply_shorthands(cli, spec);
@@ -330,6 +360,9 @@ int run_single(const support::CliParser& cli, Service& service) {
   const bool timeline = cli.get_flag("timeline");
   sim::TraceRecorder recorder;
   if (timeline) resolved.run_spec.trace_recorder = &recorder;
+  sim::EngineProfile profile;
+  const bool profiled = cli.get_flag("profile");
+  if (profiled) resolved.run_spec.profile = &profile;
 
   std::cout << "instance: n=" << resolved.realized_n;
   // The 'file' family takes n from the file — there is no request.
@@ -345,7 +378,9 @@ int run_single(const support::CliParser& cli, Service& service) {
   core::RunOutcome out;
   try {
     out = scenario::run_resolved(resolved, spec.trace_path);
+    if (profiled) print_profile(std::cerr, profile);
   } catch (const ProtocolViolation& e) {
+    if (profiled) print_profile(std::cerr, profile);
     // Under an adversary that can actually perturb the run, a robot-side
     // protocol violation is a legitimate outcome (the misalignment broke
     // the algorithm's invariants) — report it as a result, not a tool
@@ -455,6 +490,9 @@ int main(int argc, char** argv) {
   cli.add_option("trace-dir", "",
                  "sweep mode: record every row's trace into this directory");
   cli.add_flag("timeline", "print per-stage movement analysis");
+  cli.add_flag("profile",
+               "print the engine's work counters to stderr as JSON "
+               "(single run only)");
   cli.add_option("dot", "", "write instance+result as Graphviz DOT");
   cli.add_option("save-graph", "", "write the graph as an edge list");
   cli.add_flag("list", "list every registry entry and exit");
@@ -499,8 +537,13 @@ int main(int argc, char** argv) {
     // One Service for the invocation: the CLI is an embedder like any
     // other, so its graph/result caches live exactly as long as main.
     Service service;
-    return cli.get_flag("sweep") ? run_sweep(cli, service)
-                                 : run_single(cli, service);
+    if (cli.get_flag("sweep")) {
+      if (cli.get_flag("profile")) {
+        throw support::CliError("--profile is single-run only");
+      }
+      return run_sweep(cli, service);
+    }
+    return run_single(cli, service);
   } catch (const support::CliError& e) {
     std::cerr << "error: " << e.what() << "\n\n" << cli.usage("gather_cli");
     return 2;

@@ -26,6 +26,8 @@ struct BehaviorResult {
   Action action;
   StateTag tag = StateTag::Init;
   RobotId group_id = 0;
+  /// A Move's route promise (sim/action.hpp); no ports = none.
+  sim::RoutePromise route;
 };
 
 // ---- view scanning helpers ----------------------------------------------

@@ -27,10 +27,11 @@ BehaviorResult HopMeetingBehavior::step(const RoundView& view) {
   const Round r = view.round;
   GATHER_PROTOCOL(r >= start_ && r < end_);
 
-  // "They meet and assemble there": freeze on any co-location.
+  // "They meet and assemble there": freeze on any co-location. A frozen
+  // robot stays put whatever it sees.
   if (frozen_ || any_other_live(view, self_)) {
     frozen_ = true;
-    return result(Action::stay_until_round(end_));
+    return result(Action::stay_watching(end_, sim::kNobody));
   }
 
   const Round cycle = (r - start_) / cycle_len_;

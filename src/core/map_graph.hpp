@@ -7,6 +7,12 @@
 // resolved and to which map node / entry port it leads. The resolved
 // subgraph is connected at all times (nodes are only added via resolved
 // edges), which is what makes navigation and closed tours possible.
+//
+// Routes and tours are written into caller-owned vectors, and the
+// breadth-first search behind them runs in scratch the map keeps, so a
+// finder that plans one route or tour per frontier port allocates only
+// while its map grows. A map belongs to one robot: the scratch makes
+// concurrent calls on one MapGraph unsafe, even the const ones.
 #pragma once
 
 #include <cstdint>
@@ -41,18 +47,22 @@ class MapGraph {
 
   [[nodiscard]] bool complete() const;
 
-  /// BFS port-route from `from` to `to` over resolved edges.
-  [[nodiscard]] std::vector<sim::Port> path_ports(MapNode from, MapNode to) const;
+  /// BFS port-route from `from` to `to` over resolved edges, written
+  /// into `route` (replacing its contents).
+  void path_ports(MapNode from, MapNode to,
+                  std::vector<sim::Port>& route) const;
 
+  /// A closed walk as parallel arrays: step i leaves through ports[i]
+  /// and arrives at map node arrivals[i].
+  struct Tour {
+    std::vector<sim::Port> ports;
+    std::vector<MapNode> arrivals;
+  };
   /// Closed walk from `start` that visits every map node and returns to
   /// `start`: a DFS tour of the BFS tree over resolved edges, children in
-  /// ascending parent-side port order. Returns the (exit port, arrival
-  /// node) steps; 2(n'-1) steps for n' map nodes.
-  struct TourStep {
-    sim::Port port;
-    MapNode arrives_at;
-  };
-  [[nodiscard]] std::vector<TourStep> closed_tour(MapNode start) const;
+  /// ascending parent-side port order; 2(n'-1) steps for n' map nodes,
+  /// written into `tour` (replacing its contents).
+  void closed_tour(MapNode start, Tour& tour) const;
 
   /// Export the completed map as a port-labeled graph (requires complete()),
   /// for the isomorphism oracle in tests.
@@ -75,9 +85,25 @@ class MapGraph {
   std::vector<Node> nodes_;
   std::size_t resolved_half_edges_ = 0;
 
-  /// BFS over resolved edges, ports scanned in ascending order (map_graph.cpp).
-  struct Bfs;
-  [[nodiscard]] Bfs bfs(MapNode start, MapNode target) const;
+  /// BFS over resolved edges, ports scanned in ascending order, into
+  /// bfs_ (map_graph.cpp).
+  struct Bfs {
+    static constexpr MapNode kUnseen = static_cast<MapNode>(-1);
+    /// Tree edge into a node: its parent, the parent-side port (`down`)
+    /// and the child-side port (`up`). kUnseen parent = not reached.
+    struct Via {
+      MapNode parent = kUnseen;
+      sim::Port down = sim::kNoPort;
+      sim::Port up = sim::kNoPort;
+    };
+    std::vector<Via> via;  ///< per map node
+    std::vector<MapNode> order;
+    std::vector<std::uint32_t> first_child;  ///< per BFS position, plus an end
+    /// closed_tour's DFS frames: a BFS position and its next child.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;
+  };
+  mutable Bfs bfs_;
+  void bfs(MapNode start, MapNode target) const;
 };
 
 }  // namespace gather::core

@@ -22,6 +22,7 @@ Action FasterGatheringRobot::apply(const BehaviorResult& r,
   if (action.kind == sim::ActionKind::Follow) {
     action.stay_until = std::min(action.stay_until, detect_round);
   }
+  promise_route({r.route.ports, std::min(r.route.until, detect_round)});
   return action;
 }
 
@@ -116,6 +117,7 @@ Action UndispersedGatheringRobot::on_round(const RoundView& view) {
   const BehaviorResult r = ug_.step(view);
   set_tag(r.tag);
   set_group_id(r.group_id);
+  promise_route(r.route);
   return r.action;
 }
 

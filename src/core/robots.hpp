@@ -43,8 +43,9 @@ class FasterGatheringRobot final : public sim::Robot {
   std::optional<UxsGatheringBehavior> uxs_;
   std::uint64_t peak_map_bits_ = 0;
 
-  /// Publish the behavior's tag and group id; clamp a Follow's promise
-  /// deadline to the stage's detection round.
+  /// Publish the behavior's tag and group id and its route promise; clamp
+  /// a Follow's promise deadline and the route's to the stage's
+  /// detection round.
   Action apply(const BehaviorResult& r, Round detect_round);
   Action detection(const RoundView& view, Round next_stage_start);
   void note_map_memory();

@@ -78,6 +78,7 @@ RunOutcome run_gathering(const graph::Topology& g,
   engine_config.hard_cap = cap;
   engine_config.naive_stepping = spec.naive_engine;
   engine_config.trace_recorder = spec.trace_recorder;
+  engine_config.profile = spec.profile;
   engine_config.scheduler = spec.scheduler;
   engine_config.dense_node_limit = spec.dense_node_limit;
   sim::Engine engine(g, engine_config);

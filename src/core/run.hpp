@@ -45,6 +45,11 @@ struct RunSpec {
   /// trace's terminal record before the exception is rethrown, so the
   /// trace stays decodable/replayable either way.
   sim::TraceRecorder* trace_recorder = nullptr;
+  /// Opt-in engine work counters (sim::EngineProfile), non-owning; must
+  /// outlive the call. run_gathering adds the run's counts to it. Like
+  /// the recorder it is no part of the scenario: it never enters a
+  /// fingerprint, CSV or JSON row.
+  sim::EngineProfile* profile = nullptr;
   /// Scheduling adversary (sim/scheduler.hpp); null = synchronous. A
   /// derived hard cap is stretched by the scheduler's extend_cap() so
   /// delayed/suppressed schedules get the slack they shift into. For a

@@ -10,6 +10,14 @@ void TokenMapper::queue_ports(MapGraph::MapNode v, sim::Port except) {
   }
 }
 
+void TokenMapper::skip_tour(std::size_t steps) {
+  if (steps == 0) return;
+  GATHER_PROTOCOL(state_ == State::Tour &&
+                  steps <= tour_.ports.size() - tour_idx_);
+  tour_idx_ += steps;
+  tour_pos_ = tour_.arrivals[tour_idx_ - 1];
+}
+
 std::optional<TokenMapper::Decision> TokenMapper::on_round(
     std::uint32_t degree, sim::Port entry_port, bool token_here) {
   if (state_ == State::Init) {
@@ -34,7 +42,7 @@ std::optional<TokenMapper::Decision> TokenMapper::on_round(
           frontier_.pop_front();
         }
         if (frontier_.empty()) {
-          plan_ = map_->path_ports(map_pos_, map_->root());
+          map_->path_ports(map_pos_, map_->root(), plan_);
           plan_idx_ = 0;
           state_ = State::WalkHome;
           continue;
@@ -42,7 +50,7 @@ std::optional<TokenMapper::Decision> TokenMapper::on_round(
         task_u_ = frontier_.front().first;
         task_p_ = frontier_.front().second;
         frontier_.pop_front();
-        plan_ = map_->path_ports(map_pos_, task_u_);
+        map_->path_ports(map_pos_, task_u_, plan_);
         plan_idx_ = 0;
         state_ = State::WalkToTask;
         continue;
@@ -76,7 +84,7 @@ std::optional<TokenMapper::Decision> TokenMapper::on_round(
       }
 
       case State::TourSetup: {
-        tour_ = map_->closed_tour(task_u_);
+        map_->closed_tour(task_u_, tour_);
         tour_idx_ = 0;
         tour_pos_ = task_u_;
         state_ = State::Tour;
@@ -92,10 +100,9 @@ std::optional<TokenMapper::Decision> TokenMapper::on_round(
           state_ = State::Select;
           continue;
         }
-        if (tour_idx_ < tour_.size()) {
-          const MapGraph::TourStep step = tour_[tour_idx_++];
-          tour_pos_ = step.arrives_at;
-          return Decision{step.port, false};
+        if (tour_idx_ < tour_.ports.size()) {
+          tour_pos_ = tour_.arrivals[tour_idx_];
+          return Decision{tour_.ports[tour_idx_++], false};
         }
         // Tour exhausted without sighting the token: x is a new node.
         GATHER_PROTOCOL(tour_pos_ == task_u_);

@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <optional>
+#include <span>
 
 #include "core/map_graph.hpp"
 #include "sim/types.hpp"
@@ -57,6 +58,17 @@ class TokenMapper {
   /// Finder's current position in its map (valid while on known nodes).
   [[nodiscard]] MapGraph::MapNode position() const noexcept { return map_pos_; }
 
+  /// Right after on_round returned an identification-tour step: the
+  /// ports of the tour's remaining steps, which on_round returns one per
+  /// call for as long as the token is not here. Empty otherwise.
+  [[nodiscard]] std::span<const sim::Port> tour_ahead() const noexcept {
+    if (state_ != State::Tour) return {};
+    return std::span<const sim::Port>(tour_.ports).subspan(tour_idx_);
+  }
+  /// Take `steps` tour steps without calls, as that many on_round calls
+  /// without the token would (at most tour_ahead().size()).
+  void skip_tour(std::size_t steps);
+
  private:
   enum class State : std::uint8_t {
     Init,        ///< before the first round
@@ -82,7 +94,7 @@ class TokenMapper {
 
   std::vector<sim::Port> plan_;
   std::size_t plan_idx_ = 0;
-  std::vector<MapGraph::TourStep> tour_;
+  MapGraph::Tour tour_;
   std::size_t tour_idx_ = 0;
   MapGraph::MapNode tour_pos_ = 0;
 

@@ -67,6 +67,12 @@ BehaviorResult UndispersedBehavior::step(const RoundView& view) {
 
 BehaviorResult UndispersedBehavior::finder_step(const RoundView& view) {
   const Round r = view.round;
+  // Every consult since the one that promised a route was replayed from
+  // it (sim/action.hpp): take those tour steps now.
+  if (route_from_ != sim::kNoRound) {
+    mapper_.skip_tour(r - route_from_ - 1);
+    route_from_ = sim::kNoRound;
+  }
 
   if (r < phase2_) {
     // ---- Phase 1: map construction with the helper-group token ----------
@@ -105,7 +111,17 @@ BehaviorResult UndispersedBehavior::finder_step(const RoundView& view) {
                                            token_here);
     if (decision.has_value()) {
       if (fairness_ > 1) dwell_left_ = fairness_;
-      return result(Action::move(decision->port, decision->take_token));
+      BehaviorResult out =
+          result(Action::move(decision->port, decision->take_token));
+      // An identification tour reads only token_here, which is false
+      // whenever the finder is alone: promise the tour's remaining
+      // ports until phase 2. Dwells rule this out above fairness 1.
+      const std::span<const sim::Port> ahead = mapper_.tour_ahead();
+      if (fairness_ == 1 && !ahead.empty()) {
+        out.route = sim::RoutePromise{ahead, phase2_};
+        route_from_ = r;
+      }
+      return out;
     }
     // Map complete and home again: wait out the shared R1 budget.
     return result(Action::stay_until_round(phase2_));
@@ -114,7 +130,7 @@ BehaviorResult UndispersedBehavior::finder_step(const RoundView& view) {
   // ---- Phase 2: spanning-tree collection tour ---------------------------
   if (!tour_ready_) {
     GATHER_PROTOCOL(mapper_.finished());
-    tour_ = mapper_.map().closed_tour(mapper_.map().root());
+    mapper_.map().closed_tour(mapper_.map().root(), tour_);
     tour_idx_ = 0;
     tour_ready_ = true;
     // The first tour move must carry whatever sits at the root.
@@ -147,14 +163,14 @@ BehaviorResult UndispersedBehavior::finder_step(const RoundView& view) {
   }
 
   // Not captured: continue (or finish) the tour, dwelling after arrivals.
-  if (tour_idx_ < tour_.size()) {
+  if (tour_idx_ < tour_.ports.size()) {
     if (dwell_left_ > 0) {
       --dwell_left_;
       return result(Action::stay_one(r));
     }
-    const MapGraph::TourStep step = tour_[tour_idx_++];
+    const sim::Port port = tour_.ports[tour_idx_++];
     if (fairness_ > 1) dwell_left_ = fairness_;
-    return result(Action::move(step.port, true));
+    return result(Action::move(port, true));
   }
   return result(Action::stay_until_round(end_));
 }
@@ -168,11 +184,12 @@ BehaviorResult UndispersedBehavior::helper_step(const RoundView& view) {
     // decides whether the token moves or is left behind. Nothing here
     // changes before phase 2 unless the co-located robots or their states
     // do (degree and entry port are not read), so the Follow promises to
-    // stand until then (sim/action.hpp).
+    // stand until then (sim/action.hpp). Away from the finder the helper
+    // stays put whoever else passes: the Stay watches the finder only.
     if (is_colocated(view, group_id_)) {
       return result(Action::follow(group_id_, phase2_));
     }
-    return result(Action::stay_until_round(phase2_));
+    return result(Action::stay_watching(phase2_, group_id_));
   }
 
   // ---- Phase 2: stay until captured by a smaller-groupid finder ---------
@@ -224,8 +241,11 @@ BehaviorResult UndispersedBehavior::waiter_step(const RoundView& view) {
       return result(Action::follow(followed_));
     }
   }
-  return result(Action::stay_until_round(
-      view.round < phase2_ ? phase2_ : end_));
+  // Before phase 2 nothing a waiter sees changes its Stay.
+  if (view.round < phase2_) {
+    return result(Action::stay_watching(phase2_, sim::kNobody));
+  }
+  return result(Action::stay_until_round(end_));
 }
 
 std::uint64_t UndispersedBehavior::map_memory_bits() const {

@@ -82,9 +82,13 @@ class UndispersedBehavior {
   RobotId followed_ = 0;
   /// Finder phase 1.
   TokenMapper mapper_;
+  /// Finder phase 1: the local round of the last consult that promised
+  /// a route (kNoRound = none outstanding). The engine may have replayed
+  /// tour steps since; the next consult catches the mapper up.
+  Round route_from_ = sim::kNoRound;
   /// Finder phase 2 tour.
   bool tour_ready_ = false;
-  std::vector<MapGraph::TourStep> tour_;
+  MapGraph::Tour tour_;
   std::size_t tour_idx_ = 0;
 
   void assign_role(const RoundView& view);

@@ -9,6 +9,15 @@
 // in the robot's LOCAL time (RoundView::round — activations since
 // release); the engine owns the translation to global wake rounds.
 //
+// A *watched* Stay{until, watch} (reusing `leader`) promises more: before
+// local round `until`, every consult returns this same Stay and changes
+// no robot state, whatever the occupancy, as long as robot `watch` is not
+// co-located and live (no view entry with its label, or one tagged
+// Terminated). `kNobody` as the watch makes the promise unconditional.
+// On the global clock the skipping engine lets such a sleeper *ride out*
+// an occupancy change that does not bring its watch: it credits the
+// consult the wake would have caused instead of making it.
+//
 // `Follow{leader, until}` models the face-to-face message "I am moving
 // through port p, come along" from a co-located leader: the follower's
 // action resolves to the leader's action in the same round. `until`
@@ -25,6 +34,15 @@
 // Follow without calling the robot. A Move with take_followers == false
 // is how a finder *leaves its token behind* during map construction
 // (§2.2 Phase 1).
+//
+// A Move may also carry a *route promise* (Robot::promise_route, a side
+// channel so Action stays 32 bytes): the ports of the robot's next Moves,
+// one per consult, up to a local deadline. It holds at every consult
+// whose view is the robot alone — degree and entry port are not covered.
+// The global-clock skipping engine replays the next port at such a
+// consult without calling the robot; a consult with company calls it,
+// and the robot catches up on the steps it did not see by the local
+// rounds that passed. A real consult replaces or clears the route.
 #pragma once
 
 #include <string>
@@ -35,18 +53,33 @@ namespace gather::sim {
 
 enum class ActionKind : std::uint8_t { Stay, Move, Follow, Terminate };
 
+/// A watched Stay's watch that no robot is: the promise holds whatever
+/// the occupancy.
+inline constexpr RobotId kNobody = ~RobotId{0};
+
 struct Action {
   ActionKind kind = ActionKind::Stay;
   /// Stay: wake deadline; Follow: promise deadline (both robot-local)
   Round stay_until = 0;
   Port port = kNoPort;         ///< Move: exit port
   bool take_followers = true;  ///< Move: do co-located followers come along?
-  RobotId leader = 0;          ///< Follow: co-located robot to mirror
+  /// Follow: co-located robot to mirror; Stay: the watch (0 = a plain
+  /// Stay, kNobody = unconditional).
+  RobotId leader = 0;
 
   [[nodiscard]] static Action stay_until_round(Round until) {
     Action a;
     a.kind = ActionKind::Stay;
     a.stay_until = until;
+    return a;
+  }
+
+  /// Stay until local round `until`; before it every consult returns
+  /// this same Stay and changes no robot state while robot `watch` is
+  /// not co-located and live (kNobody: whatever the occupancy).
+  [[nodiscard]] static Action stay_watching(Round until, RobotId watch) {
+    Action a = stay_until_round(until);
+    a.leader = watch;
     return a;
   }
 
@@ -80,6 +113,9 @@ struct Action {
     return a;
   }
 };
+
+// The engine copies one Action per consulted robot per round.
+static_assert(sizeof(Action) == 32, "keep Action at 32 bytes");
 
 [[nodiscard]] std::string to_string(ActionKind kind);
 

@@ -39,6 +39,9 @@ std::uint64_t message_bits(const RobotPublicState& s) {
   return support::bit_width_u64(s.id) + support::bit_width_u64(s.group_id) + 3;
 }
 
+/// A view's message bits not summed yet (Engine::ride_out).
+constexpr std::uint64_t kUnsummed = ~std::uint64_t{0};
+
 }  // namespace
 
 Engine::Engine(const graph::Topology& graph, EngineConfig config)
@@ -475,7 +478,12 @@ RunResult Engine::run() {
   resolved_stamp_.assign(num_slots, kNoRound);
   resolve_mark_.assign(num_slots, 0);
   leader_slot_.assign(num_slots, kNoSlot);
-  if (replays_) promise_until_.assign(num_slots, 0);
+  if (replays_) {
+    promise_until_.assign(num_slots, 0);
+    routes_.assign(num_slots, RoutePromise{});
+  }
+  rides_ = replays_ && !any_crash_;
+  if (rides_) ride_stamp_.assign(num_slots, kNoRound);
   // A slot is listed at most twice a round: its consult changed its
   // state, and it terminated.
   if (promises_) changed_slots_.reserve(2 * num_slots);
@@ -630,8 +638,10 @@ RunResult Engine::run() {
     } else {
       // Take the bucket (due now unless emptied) and every live heap
       // entry due at r, then sort the small admitted set into slot
-      // order — the order naive stepping's scan produces. Wakes pushed
-      // from here on are for r+1 or later, so the new bucket is r+1's.
+      // order — the order naive stepping's scan produces — unless it is
+      // in that order already, as a crowded round's nearly always is.
+      // Wakes pushed from here on are for r+1 or later, so the new
+      // bucket is r+1's.
       if (suppressing) advance_ledger(r);
       due_.swap(soon_);
       soon_round_ = r + 1;
@@ -646,14 +656,12 @@ RunResult Engine::run() {
         heap_pop();
         admit(slot);
       }
-      if (prof_ != nullptr) {
-        prof_->wake_slot_visits += visited;
-        if (!active_.empty() &&
-            std::is_sorted(active_.begin(), active_.end())) {
-          ++prof_->presorted_rounds;
-        }
+      if (prof_ != nullptr) prof_->wake_slot_visits += visited;
+      if (!std::is_sorted(active_.begin(), active_.end())) {
+        std::sort(active_.begin(), active_.end());
+      } else if (prof_ != nullptr && !active_.empty()) {
+        ++prof_->presorted_rounds;
       }
-      std::sort(active_.begin(), active_.end());
     }
     if (active_.empty()) {
       // Only an adversary can empty a round (everyone dormant, suppressed,
@@ -664,6 +672,19 @@ RunResult Engine::run() {
       continue;
     }
 
+    if (ride_calls_ != 0) {
+      // The consults ridden out at the previous round's occupancy
+      // changes. That round had movers, and a mover is active the next
+      // round, so the round after a ride is always the one simulated
+      // next unless the run ended (the cap, or stop_when_gathered),
+      // which drops the credit with the consults it stands for.
+      GATHER_INVARIANT(r == ride_round_);
+      m.decision_calls += ride_calls_;
+      m.total_message_bits += ride_bits_;
+      if (prof_ != nullptr) prof_->ridden_stays += ride_calls_;
+      ride_calls_ = 0;
+      ride_bits_ = 0;
+    }
     if (rec_ != nullptr) rec_->begin_round(r, active_);
     const std::size_t movers = simulate_round(r, result);
 
@@ -844,9 +865,20 @@ void Engine::decide_all(Round r, RunMetrics& m) {
       // A standing promise answers the consult: while its view entries
       // are unchanged (void_changed_views clears the promise otherwise),
       // the robot would repeat this Follow and change no state.
-      if (replays_ && promise_until_[s] > local) {
-        if (prof_ != nullptr) ++prof_->replayed_follows;
-        continue;
+      if (replays_) {
+        if (promise_until_[s] > local) {
+          if (prof_ != nullptr) ++prof_->replayed_follows;
+          continue;
+        }
+        // A route promise answers a consult whose view is the robot
+        // alone: the robot would take the route's next port.
+        RoutePromise& route = routes_[s];
+        if (!route.ports.empty() && ref.size == 1 && local < route.until) {
+          decisions_[s].port = route.ports.front();
+          route.ports = route.ports.subspan(1);
+          if (prof_ != nullptr) ++prof_->replayed_routes;
+          continue;
+        }
       }
     }
     RoundView view;
@@ -863,6 +895,9 @@ void Engine::decide_all(Round r, RunMetrics& m) {
       }
       if (replays_) {
         promise_until_[s] = follow && d.stay_until > local ? d.stay_until : 0;
+        // Every real consult replaces or clears the route.
+        const RoutePromise route = robots_[s]->take_route();
+        routes_[s] = d.kind == ActionKind::Move ? route : RoutePromise{};
       }
     } else {
       standing_follow_[s] = follow ? d.leader : 0;
@@ -1029,13 +1064,15 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
   // splice_arrivals left every touched node in touched_nodes_ but an
   // intact group's destination, whose occupants all moved (so are woken
   // already) and keep their promises. An occupancy change voids every
-  // standing promise at the node. Each walked node is stamped so
+  // standing promise at the node, and wakes every sleeper there but one
+  // whose watched Stay rides it out. Each walked node is stamped so
   // void_changed_views skips it.
   if (!config_.naive_stepping) {
     for (const NodeId node : touched_nodes_) {
       NodeRec* rec = nodes_.find(node);
       if (rec == nullptr) continue;  // sparse mode: node emptied by a move
       rec->touch_stamp = r;
+      std::uint64_t view_bits = kUnsummed;
       for (std::uint32_t occ = rec->head; occ != kNoSlot;
            occ = occ_next_[occ]) {
         if (replays_) promise_until_[occ] = 0;
@@ -1050,13 +1087,44 @@ std::size_t Engine::simulate_round(Round r, RunResult& result) {
         // heap entry moves: the occupant must be consulted, not re-slept
         // by the deadline re-check.
         if (suppressing) sleep_target_[occ] = kNoRound;
-        if (wake_[occ] > r + 1) heap_push(r + 1, occ);
+        if (wake_[occ] <= r + 1) continue;
+        if (rides_ && ride_out(occ, *rec, node, r, view_bits)) continue;
+        heap_push(r + 1, occ);
       }
     }
   }
   if (!changed_slots_.empty()) void_changed_views(r);
 
   return movers;
+}
+
+bool Engine::ride_out(std::uint32_t occ, const NodeRec& node, NodeId at,
+                      Round r, std::uint64_t& view_bits) {
+  // The round-(r+1) consult the change would cause returns the same
+  // Stay unless the watch is co-located and live there (is_colocated on
+  // the view the robot would read).
+  const Action& d = decisions_[occ];
+  if (d.kind != ActionKind::Stay || d.leader == 0) return false;
+  if (d.leader != kNobody) {
+    const std::uint32_t watch = leader_slot(occ, d.leader);
+    if (watch != kNoSlot && pos_[watch] == at && terminated_[watch] == 0) {
+      return false;
+    }
+  }
+  if (ride_stamp_[occ] == r) return true;  // node listed twice: credited
+  ride_stamp_[occ] = r;
+  // Every round-r decision and termination is in: the public states now
+  // are those round r+1's view will hold.
+  if (view_bits == kUnsummed) {
+    view_bits = 0;
+    for (std::uint32_t s = node.head; s != kNoSlot; s = occ_next_[s]) {
+      view_bits += message_bits(robots_[s]->public_state());
+    }
+  }
+  ride_round_ = r + 1;
+  ++ride_calls_;
+  ride_bits_ += view_bits - message_bits(robots_[occ]->public_state());
+  return true;
 }
 
 void Engine::void_changed_views(Round r) {

@@ -83,6 +83,25 @@
 //    one onto an empty node keeps its promises: its robots see the same
 //    entries there, and a promise does not cover degree or entry port.
 //
+//  * Watched Stays and route promises (skip mode on the global clock,
+//    no trace recorder; see sim/action.hpp). They replace robot calls
+//    whose answer is known on the dispersed ladder. An occupancy change
+//    wakes every sleeper at the node, except one whose Stay watches a
+//    robot that is not there (or is terminated) after the change, or
+//    watches kNobody: it *rides the change out*. The occupancy-wakeup
+//    walk credits the consult the wake would have caused — one
+//    decision_call and the round-(r+1) view's message bits minus its
+//    own — and the credit is settled when round r+1 is simulated, or
+//    dropped with that consult when the cap or stop_when_gathered ends
+//    the run first. This replaces the bucket push, the admission and the
+//    robot call. Under a crash adversary sleepers wake as before. A
+//    route promise (Robot::take_route after each real consult) replaces
+//    the robot call of a lone walker: while a consult's view holds only
+//    the robot, the decide loop takes the route's next port instead; a
+//    consult with company calls the robot, which replaces or clears the
+//    route. The condition is re-checked at every consult, so no walk
+//    voids it.
+//
 //  * Scheduler hooks off the hot path. Adversary features are gated by
 //    booleans cached at add_robot time (any delay? any crash? does this
 //    scheduler suppress?). Synchronous and delayed-start runs share one
@@ -117,9 +136,10 @@
 // min-heap. A skip-mode round drains the bucket and the heap entries
 // due now, sorts the small admitted set into slot order, and keeps the
 // alive count incrementally, so it costs O(active · log active) rather
-// than a pass over every slot. After run() sizes the scratch buffers,
-// the view, occupancy, decision, wake, and active-set machinery never
-// allocates in the round loop. The heap holds at most one pending entry
+// than a pass over every slot; an admitted set already in slot order is
+// not sorted. After run() sizes the scratch buffers, the view,
+// occupancy, decision, wake, and active-set machinery never allocates in
+// the round loop. The heap holds at most one pending entry
 // per (slot, deadline): a sleeper woken early by an occupancy change
 // that goes back to sleep until the same deadline revives its queued
 // entry instead of pushing a second one. It outgrows its reserve only
@@ -180,11 +200,21 @@ struct EngineProfile {
   /// consults answered by repeating the slot's Follow instead of calling
   /// Robot::on_round. Each still counts in decision_calls.
   std::uint64_t replayed_follows = 0;
+  /// Route promises (global clock, skip mode, no trace recorder):
+  /// consults of a lone robot answered with the next port of its route
+  /// instead of calling Robot::on_round. Each still counts in
+  /// decision_calls.
+  std::uint64_t replayed_routes = 0;
+  /// Watched Stays (the same runs, no crash adversary): consults an
+  /// occupancy change would have caused that the sleeper rode out. Each
+  /// is credited to decision_calls and message bits, never collected as
+  /// a wake, so wake_slot_visits + ridden_stays counts every consult.
+  std::uint64_t ridden_stays = 0;
   /// Rounds whose moves all left one node, emptied it, and landed on one
   /// node that held no robot: the occupant list was handed over whole.
   std::uint64_t group_handoffs = 0;
-  /// Skip-mode rounds whose admitted set was already in slot order
-  /// before the wake collection sorted it.
+  /// Skip-mode rounds whose admitted set was already in slot order, so
+  /// the wake collection did not sort it.
   std::uint64_t presorted_rounds = 0;
 };
 
@@ -275,6 +305,9 @@ class Engine {
   bool promises_ = false;
   bool follow_sleeps_ = false;
   bool replays_ = false;
+  /// Watched Stays may be ridden out (replays_ without a crash adversary,
+  /// under which a crash can leave the round after a ride unsimulated).
+  bool rides_ = false;
 
   // ---- flat per-slot state (SoA), indexed by add_robot order -----------
   std::vector<std::unique_ptr<Robot>> robots_;  ///< cold: ownership + vtable
@@ -318,9 +351,21 @@ class Engine {
   /// local round its Follow promised to repeat until (0 = none). Voided
   /// when the slot's view entries change.
   std::vector<Round> promise_until_;
-  /// Slot of the leader the slot last followed (kNoSlot = none yet),
-  /// checked against ids_ before use; find_slot is the fallback.
+  /// Slot of the leader the slot last followed or watched (kNoSlot =
+  /// none yet), checked against ids_ before use; find_slot is the
+  /// fallback.
   std::vector<std::uint32_t> leader_slot_;
+  /// Route promise of the slot's last real consult (replays_ only), less
+  /// the ports replayed since. Replaced or cleared at every real consult.
+  std::vector<RoutePromise> routes_;
+  /// Ridden-out consults (rides_ only): the round of the slot's last
+  /// credited ride, so a node listed twice credits once; and the credit
+  /// of the rides for round ride_round_, settled when that round is
+  /// simulated and dropped if the run ends first.
+  std::vector<Round> ride_stamp_;
+  Round ride_round_ = kNoRound;
+  std::uint64_t ride_calls_ = 0;
+  std::uint64_t ride_bits_ = 0;
 
   /// Slot indices sorted by label — the label→slot index (binary search;
   /// labels are sparse in [1, n^b], so no direct-indexed table). Built
@@ -453,6 +498,12 @@ class Engine {
   /// may appear twice), except the destination of an intact group move,
   /// whose list is the source's, handed over whole.
   void splice_arrivals(Round r);
+  /// Whether the sleeping occ at `node`, whose occupancy changed in round
+  /// r, rides the change out on its watched Stay instead of waking; if
+  /// so, credit the round-(r+1) consult it skips. `view_bits` caches the
+  /// bits of the node's round-(r+1) view (all ones until summed).
+  bool ride_out(std::uint32_t occ, const NodeRec& node, NodeId at, Round r,
+                std::uint64_t& view_bits);
   /// After the occupancy wakeups: walk the node of every slot in
   /// changed_slots_ once, voiding the standing promises and waking the
   /// follow sleepers there.

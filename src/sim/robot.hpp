@@ -58,6 +58,16 @@ struct RoundView {
   std::span<const RobotPublicState> colocated;
 };
 
+/// A Move's route promise (sim/action.hpp): the ports of the robot's
+/// next Moves, one per consult at local rounds round+1, round+2, ...
+/// before local round `until`, at every consult whose view holds only
+/// the robot. The ports live in robot-owned memory that stays unchanged
+/// until the robot's next on_round call.
+struct RoutePromise {
+  std::span<const Port> ports;
+  Round until = 0;
+};
+
 /// Base class for robot algorithm implementations.
 ///
 /// Contract: `on_round` must be a pure function of (internal state, view).
@@ -91,12 +101,23 @@ class Robot {
   /// Engine hook: marks the robot terminated in its broadcast state.
   void mark_terminated() noexcept { public_state_.tag = StateTag::Terminated; }
 
+  /// Engine hook: the route promised by the last on_round (empty if
+  /// none), cleared so that the next call starts without one.
+  [[nodiscard]] RoutePromise take_route() noexcept {
+    const RoutePromise route = route_;
+    route_ = RoutePromise{};
+    return route;
+  }
+
  protected:
   void set_tag(StateTag tag) noexcept { public_state_.tag = tag; }
   void set_group_id(RobotId gid) noexcept { public_state_.group_id = gid; }
+  /// Attach a route promise to the Move this on_round returns.
+  void promise_route(RoutePromise route) noexcept { route_ = route; }
 
  private:
   RobotPublicState public_state_;
+  RoutePromise route_;
 };
 
 }  // namespace gather::sim

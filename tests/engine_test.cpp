@@ -37,6 +37,7 @@ class ScriptedRobot final : public Robot {
 
   Action on_round(const RoundView& view) override { return script_(*this, view); }
 
+  using Robot::promise_route;
   using Robot::set_group_id;
   using Robot::set_tag;
 
@@ -709,18 +710,27 @@ TEST(EngineProfile, DispersedLadderSleepersKeepOneHeapEntryPerDeadline) {
   // boundary. Each re-sleep must revive the slot's queued heap entry, not
   // queue another. Before that dedupe the n=64 fixture measured
   // heap_pushes 49,983 (0.31 per decision), heap_peak 33,578 and 193,226
-  // wake visits for 159,669 decisions; now heap_pushes is 3,800 and
-  // heap_peak 34. The n=136, k=69 row is Theorem 16's dispersed ladder.
+  // wake visits for 159,669 decisions. The n=136, k=69 row is Theorem
+  // 16's dispersed ladder.
+  //
+  // Most consults need no robot call: token helpers whose finder is away,
+  // phase-1 waiters and frozen hop-meeting robots ride out passers-by on
+  // their watched Stays, and a finder touring alone is answered from its
+  // route. A sleeper that rides a change out leaves its heap entry live,
+  // so few entries go stale and are re-pushed.
   struct DispersedPin {
     std::size_t n;
     std::size_t k;
     WorkCounts counts;
     std::uint64_t heap_peak;
+    std::uint64_t replayed_routes;
+    std::uint64_t ridden_stays;
   };
   const DispersedPin kPins[] = {
-      {64, 33, {11349777051333746722ULL, 159669, 107316, 8954, 3800, 632}, 34},
-      {136, 69, {773519822048699446ULL, 1288156, 838951, 40503, 15381, 1991},
-       86}};
+      {64, 33, {11349777051333746722ULL, 159669, 107316, 8954, 623, 7594}, 34,
+       59080, 45297},
+      {136, 69, {773519822048699446ULL, 1288156, 838951, 40503, 1387, 32786},
+       86, 517130, 409254}};
   for (const DispersedPin& pin : kPins) {
     SCOPED_TRACE(pin.n);
     scenario::ScenarioSpec spec;
@@ -742,10 +752,19 @@ TEST(EngineProfile, DispersedLadderSleepersKeepOneHeapEntryPerDeadline) {
     EXPECT_LT(10 * prof.heap_pushes, m.decision_calls);
     EXPECT_LE(prof.heap_peak, 2 * spec.k);
     EXPECT_EQ(prof.heap_pops, prof.heap_pushes);
-    // No duplicate is left to skip at collection: one visit per decision.
-    EXPECT_EQ(prof.wake_slot_visits, m.decision_calls);
+    // No duplicate is left to skip at collection: one visit per consult
+    // that was not ridden out.
+    EXPECT_EQ(prof.wake_slot_visits + prof.ridden_stays, m.decision_calls);
     EXPECT_EQ(work_counts(result, prof), pin.counts);
     EXPECT_EQ(prof.heap_peak, pin.heap_peak);
+    EXPECT_EQ(prof.replayed_routes, pin.replayed_routes);
+    EXPECT_EQ(prof.ridden_stays, pin.ridden_stays);
+    // The gate: at most 40% of the consults call a robot (34% at n=64,
+    // 27.8% at n=136 when it was set).
+    const std::uint64_t real = m.decision_calls - prof.replayed_follows -
+                               prof.replayed_routes - prof.ridden_stays;
+    EXPECT_LE(10 * real, 4 * m.decision_calls)
+        << real << " of " << m.decision_calls;
   }
 }
 
@@ -1115,14 +1134,16 @@ TEST(EngineProfile, CrowdedGroupsReplayPromisesAndHandOverWhole) {
 }
 
 TEST(StandingPromises, ReplayingRunsMatchPollingRuns) {
-  // Differential referee for replayed promises: every pure family from
-  // one-node, undispersed and dispersed starts under each global-clock
-  // adversary, run once recorded (polling every consult) and once
-  // replaying. The results must agree exactly, consult counts and
-  // message bits included. Dispersed starts need k <= n, so they run at
-  // k = 4 only.
+  // Differential referee for replayed promises, ridden-out Stays and
+  // replayed routes: every pure family from one-node, undispersed,
+  // dispersed and adversarial starts at n = 8, 12 and 24 under each
+  // global-clock adversary, run once recorded (polling every consult)
+  // and once replaying. The results must agree exactly, consult counts
+  // and message bits included. Dispersed and adversarial starts need
+  // k <= n, so they run at k = 4 only.
   struct Case {
     std::string family;
+    std::size_t n;
     std::string placement;
     std::string scheduler;
     std::size_t k;
@@ -1133,26 +1154,31 @@ TEST(StandingPromises, ReplayingRunsMatchPollingRuns) {
        {"ring", "path", "complete", "star", "grid", "torus", "hypercube",
         "binary-tree", "lollipop", "barbell", "caterpillar", "wheel",
         "bipartite", "tree", "random", "regular"}) {
-    for (const char* placement : {"one-node", "undispersed", "dispersed"}) {
-      for (const char* scheduler :
-           {"synchronous", "adversarial-delay", "crash-fault"}) {
-        for (const std::size_t k : {std::size_t{4}, std::size_t{24}}) {
-          if (k > 12 && std::string(placement) == "dispersed") continue;
-          for (const std::uint64_t seed : {1u, 2u}) {
-            cases.push_back({family, placement, scheduler, k, seed});
+    for (const std::size_t n : {8u, 12u, 24u}) {
+      for (const std::string placement :
+           {"one-node", "undispersed", "dispersed", "adversarial"}) {
+        const bool spread =
+            placement == "dispersed" || placement == "adversarial";
+        for (const char* scheduler :
+             {"synchronous", "adversarial-delay", "crash-fault"}) {
+          for (const std::size_t k : {std::size_t{4}, std::size_t{24}}) {
+            if (spread && k > 4) continue;
+            for (const std::uint64_t seed : {1u, 2u}) {
+              cases.push_back({family, n, placement, scheduler, k, seed});
+            }
           }
         }
       }
     }
   }
   std::vector<std::string> failures(cases.size());
-  std::vector<std::uint64_t> replayed(cases.size(), 0);
+  std::vector<EngineProfile> replayed(cases.size());
   support::parallel_for_index(
       cases.size(), support::default_thread_count(), [&](std::size_t i) {
         const Case& c = cases[i];
         scenario::ScenarioSpec spec;
         spec.family = c.family;
-        spec.n = 12;
+        spec.n = c.n;
         spec.k = c.k;
         spec.placement = c.placement;
         spec.scheduler = c.scheduler;
@@ -1168,20 +1194,30 @@ TEST(StandingPromises, ReplayingRunsMatchPollingRuns) {
         } else if (polling.error.empty()) {
           diff = result_difference(polling.result, replaying.result);
         }
-        if (diff.empty() && polling.profile.replayed_follows != 0) {
-          diff = "recorded run replayed";
-        }
-        replayed[i] = replaying.profile.replayed_follows;
+        const EngineProfile& polled = polling.profile;
+        const std::uint64_t answered = polled.replayed_follows +
+                                       polled.replayed_routes +
+                                       polled.ridden_stays;
+        if (diff.empty() && answered != 0) diff = "recorded run replayed";
+        replayed[i] = replaying.profile;
         if (!diff.empty()) {
-          failures[i] = c.family + "/" + c.placement + "/" + c.scheduler +
-                        " k " + std::to_string(c.k) + " seed " +
+          failures[i] = c.family + " n " + std::to_string(c.n) + "/" +
+                        c.placement + "/" + c.scheduler + " k " +
+                        std::to_string(c.k) + " seed " +
                         std::to_string(c.seed) + ": " + diff;
         }
       });
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
-  // Not vacuous: the undispersed starts replay.
-  EXPECT_GT(std::accumulate(replayed.begin(), replayed.end(), std::uint64_t{0}),
-            0u);
+  // Not vacuous: the replaying runs answer consults all three ways.
+  EngineProfile total;
+  for (const EngineProfile& p : replayed) {
+    total.replayed_follows += p.replayed_follows;
+    total.replayed_routes += p.replayed_routes;
+    total.ridden_stays += p.ridden_stays;
+  }
+  EXPECT_GT(total.replayed_follows, 0u);
+  EXPECT_GT(total.replayed_routes, 0u);
+  EXPECT_GT(total.ridden_stays, 0u);
 }
 
 TEST(StandingPromises, StateChangesAtAnIntactDestinationVoidThem) {
@@ -1229,6 +1265,169 @@ TEST(StandingPromises, StateChangesAtAnIntactDestinationVoidThem) {
   EXPECT_EQ(runs[0].profile.replayed_follows, 10u);
   EXPECT_EQ(runs[0].profile.group_handoffs, 9u);
   EXPECT_EQ(runs[1].profile.replayed_follows, 0u);
+}
+
+/// Walks a path from node 0 for kTourSteps rounds, then terminates,
+/// promising the rest of its route at every consult, and logs the local
+/// rounds it was really consulted at.
+constexpr Round kTourSteps = 12;
+ScriptedRobot::Script lone_tourer(std::vector<Round>& consults) {
+  return [&consults](ScriptedRobot& self, const RoundView& view) {
+    static constexpr Port kRoute[kTourSteps] = {0, 1, 1, 1, 1, 1,
+                                                1, 1, 1, 1, 1, 1};
+    consults.push_back(view.round);
+    if (view.round >= kTourSteps) return Action::terminate();
+    self.promise_route(
+        {std::span<const Port>(kRoute).subspan(view.round + 1), kTourSteps});
+    return Action::move(kRoute[view.round], false);
+  };
+}
+
+TEST(RoutePromises, LoneTourersAreConsultedWhereTheyHaveCompany) {
+  // A tourer walks a path past node 5, where robot 2 sits dormant (its
+  // release is past the cap), crashed (at round 0), or terminated (at
+  // round 0). Its view there holds two entries, so the engine must call
+  // it at round 5 instead of replaying its route; every other consult
+  // before its deadline finds it alone and is replayed. The recorded run
+  // calls it every round, and both runs give the same result.
+  const graph::Graph g = graph::make_path(32);
+  const auto terminator = [](ScriptedRobot&, const RoundView&) {
+    return Action::terminate();
+  };
+  const auto idle = [](ScriptedRobot&, const RoundView& view) {
+    return Action::stay_one(view.round);
+  };
+  for (const std::string company : {"dormant", "crashed", "terminated"}) {
+    SCOPED_TRACE(company);
+    ProfiledRun runs[2];
+    std::vector<Round> consults[2];
+    for (int record = 0; record < 2; ++record) {
+      TraceRecorder recorder;
+      EngineConfig cfg = config_with_cap(40);
+      cfg.profile = &runs[record].profile;
+      if (record == 1) cfg.trace_recorder = &recorder;
+      if (company == "dormant") {
+        cfg.scheduler = std::make_shared<AdversarialDelayScheduler>(
+            std::vector<Round>{0, 100});
+      } else if (company == "crashed") {
+        cfg.scheduler = std::make_shared<CrashFaultScheduler>(
+            std::vector<Round>{kNoRound, 0});
+      }
+      Engine engine(g, cfg);
+      engine.add_robot(
+          std::make_unique<ScriptedRobot>(1, lone_tourer(consults[record])),
+          0);
+      engine.add_robot(std::make_unique<ScriptedRobot>(
+                           2, company == "terminated" ? terminator : idle),
+                       5);
+      runs[record].result = engine.run();
+    }
+    EXPECT_EQ(result_difference(runs[1].result, runs[0].result), "");
+    EXPECT_EQ(runs[0].result.metrics.moves_per_robot[0], kTourSteps);
+    EXPECT_EQ(consults[0], (std::vector<Round>{0, 5, kTourSteps}));
+    EXPECT_EQ(runs[0].profile.replayed_routes, kTourSteps + 1 - 3);
+    EXPECT_EQ(consults[1].size(), kTourSteps + 1);
+    EXPECT_EQ(runs[1].profile.replayed_routes, 0u);
+  }
+}
+
+/// Stays watching robot 1 until round 50 while it is away; once robot 1
+/// is co-located and live, stays put until round 50 unwatched. Logs the
+/// rounds it was really consulted at.
+ScriptedRobot::Script watching_helper(std::vector<Round>& consults) {
+  return [&consults](ScriptedRobot&, const RoundView& view) {
+    consults.push_back(view.round);
+    if (view.round >= 50) return Action::terminate();
+    for (const RobotPublicState& s : view.colocated) {
+      if (s.id == 1 && s.tag != StateTag::Terminated) {
+        return Action::stay_until_round(50);
+      }
+    }
+    return Action::stay_watching(50, 1);
+  };
+}
+
+/// Walks a path from node 0 for `steps` rounds, then stays until round
+/// 50 and terminates.
+ScriptedRobot::Script walk_then_wait(Round steps) {
+  return [steps](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= 50) return Action::terminate();
+    if (view.round >= steps) return Action::stay_until_round(50);
+    return Action::move(view.round == 0 ? 0 : 1);
+  };
+}
+
+TEST(WatchedStays, HelpersRideOutPassersByAndWakeForTheirWatch) {
+  // A helper (robot 3) at node 4 of a path watches robot 1. Robot 2
+  // walks past (arrives at round 3, leaves at round 4): both occupancy
+  // changes are ridden out, each crediting the consult it would have
+  // caused. Robot 1 then walks in and stops there (arriving in round 8):
+  // that change wakes the helper, which sees its watch at round 9. The
+  // recorded run consults the helper at every change, and both runs give
+  // the same result, consult count and message bits included.
+  const graph::Graph g = graph::make_path(16);
+  ProfiledRun runs[2];
+  std::vector<Round> consults[2];
+  for (int record = 0; record < 2; ++record) {
+    TraceRecorder recorder;
+    EngineConfig cfg = config_with_cap(100);
+    cfg.profile = &runs[record].profile;
+    if (record == 1) cfg.trace_recorder = &recorder;
+    Engine engine(g, cfg);
+    // Robot 1 sets out from node 0 five rounds after robot 2.
+    const auto watched = [](ScriptedRobot&, const RoundView& view) {
+      if (view.round >= 50) return Action::terminate();
+      if (view.round < 5) return Action::stay_until_round(5);
+      if (view.round >= 9) return Action::stay_until_round(50);
+      return Action::move(view.round == 5 ? 0 : 1);
+    };
+    engine.add_robot(std::make_unique<ScriptedRobot>(1, watched), 0);
+    engine.add_robot(std::make_unique<ScriptedRobot>(2, walk_then_wait(8)), 0);
+    engine.add_robot(
+        std::make_unique<ScriptedRobot>(3, watching_helper(consults[record])),
+        4);
+    runs[record].result = engine.run();
+    ASSERT_TRUE(runs[record].result.all_terminated) << record;
+  }
+  EXPECT_EQ(result_difference(runs[1].result, runs[0].result), "");
+  EXPECT_EQ(consults[0], (std::vector<Round>{0, 9, 50}));
+  EXPECT_EQ(consults[1], (std::vector<Round>{0, 4, 5, 9, 50}));
+  EXPECT_EQ(runs[0].profile.ridden_stays, 2u);
+  EXPECT_EQ(runs[1].profile.ridden_stays, 0u);
+}
+
+TEST(WatchedStays, CreditsPendingWhenTheRunEndsAreDropped) {
+  // A ride credits the consult of the round after the change, and only
+  // if that round is simulated. At the hard cap (a walker reaches an
+  // unconditional sleeper in the capped round) and under
+  // stop_when_gathered (the walker's arrival gathers the run) it is not,
+  // so the replaying run must report exactly what the polling one does.
+  const graph::Graph g = graph::make_path(8);
+  const auto sleeper = [](ScriptedRobot&, const RoundView& view) {
+    if (view.round >= 50) return Action::terminate();
+    return Action::stay_watching(50, kNobody);
+  };
+  for (const bool stop_when_gathered : {false, true}) {
+    SCOPED_TRACE(stop_when_gathered ? "stop_when_gathered" : "hard cap");
+    ProfiledRun runs[2];
+    for (int record = 0; record < 2; ++record) {
+      TraceRecorder recorder;
+      // The walker reaches node 3 in round 2: the cap is that round.
+      EngineConfig cfg = config_with_cap(stop_when_gathered ? 100 : 2);
+      cfg.stop_when_gathered = stop_when_gathered;
+      cfg.profile = &runs[record].profile;
+      if (record == 1) cfg.trace_recorder = &recorder;
+      Engine engine(g, cfg);
+      engine.add_robot(std::make_unique<ScriptedRobot>(1, walk_then_wait(3)),
+                       0);
+      engine.add_robot(std::make_unique<ScriptedRobot>(2, sleeper), 3);
+      runs[record].result = engine.run();
+    }
+    EXPECT_EQ(result_difference(runs[1].result, runs[0].result), "");
+    EXPECT_EQ(runs[0].result.hit_round_cap, !stop_when_gathered);
+    EXPECT_EQ(runs[0].result.metrics.rounds, 2u);
+    EXPECT_EQ(runs[0].profile.ridden_stays, 0u);
+  }
 }
 
 TEST(EngineOccupancy, GroupMovesHandOverOnlyTheirOwnList) {
@@ -1567,9 +1766,9 @@ TEST(EngineProfile, UndispersedRingRunsMatchPins) {
   // ring of 8, 16 or 32, labels drawn from [1, n^2] (seed 7), covering
   // sequence.
   const std::pair<std::size_t, WorkCounts> kRingPins[] = {
-      {8, {10600509601336720638ULL, 234, 172, 121, 31, 115}},
-      {16, {16553240715872479571ULL, 740, 594, 433, 56, 430}},
-      {32, {18182715695318825158ULL, 2502, 2248, 1633, 64, 1628}}};
+      {8, {10600509601336720638ULL, 234, 172, 121, 22, 117}},
+      {16, {16553240715872479571ULL, 740, 594, 433, 30, 432}},
+      {32, {18182715695318825158ULL, 2502, 2248, 1633, 46, 1630}}};
   for (const auto& [n, counts] : kRingPins) {
     const auto ring = std::make_shared<graph::Graph>(graph::make_ring(n));
     scenario::ResolvedScenario r;

@@ -58,11 +58,13 @@ TEST(MapGraph, PathPortsNavigatesResolvedSubgraph) {
   map.resolve(0, 0, a, 0);
   const auto b = map.add_node(1);
   map.resolve(a, 1, b, 0);
-  const auto route = map.path_ports(0, b);
+  std::vector<sim::Port> route;
+  map.path_ports(0, b, route);
   ASSERT_EQ(route.size(), 2u);
   EXPECT_EQ(route[0], 0u);
   EXPECT_EQ(route[1], 1u);
-  EXPECT_TRUE(map.path_ports(b, b).empty());
+  map.path_ports(b, b, route);
+  EXPECT_TRUE(route.empty());
 }
 
 TEST(MapGraph, ClosedTourVisitsAllAndCloses) {
@@ -72,13 +74,15 @@ TEST(MapGraph, ClosedTourVisitsAllAndCloses) {
     const auto leaf = map.add_node(1);
     map.resolve(0, p, leaf, 0);
   }
-  const auto tour = map.closed_tour(0);
-  EXPECT_EQ(tour.size(), 6u);
+  MapGraph::Tour tour;
+  map.closed_tour(0, tour);
+  EXPECT_EQ(tour.ports.size(), 6u);
+  ASSERT_EQ(tour.arrivals.size(), 6u);
   std::set<MapGraph::MapNode> seen{0};
   MapGraph::MapNode at = 0;
-  for (const auto& step : tour) {
-    at = map.endpoint(at, step.port).first;
-    EXPECT_EQ(at, step.arrives_at);
+  for (std::size_t i = 0; i < tour.ports.size(); ++i) {
+    at = map.endpoint(at, tour.ports[i]).first;
+    EXPECT_EQ(at, tour.arrivals[i]);
     seen.insert(at);
   }
   EXPECT_EQ(at, 0u);
@@ -91,14 +95,18 @@ TEST(MapGraph, ClosedTourFromNonRoot) {
   map.resolve(0, 0, a, 0);
   const auto b = map.add_node(2);
   map.resolve(a, 1, b, 0);
-  const auto tour = map.closed_tour(a);
-  EXPECT_EQ(tour.size(), 4u);
-  EXPECT_EQ(tour.back().arrives_at, a);
+  MapGraph::Tour tour;
+  map.closed_tour(a, tour);
+  EXPECT_EQ(tour.ports.size(), 4u);
+  EXPECT_EQ(tour.arrivals.back(), a);
 }
 
 TEST(MapGraph, SingleNodeTourIsEmpty) {
   MapGraph map(0);
-  EXPECT_TRUE(map.closed_tour(0).empty());
+  MapGraph::Tour tour{{1}, {1}};  // stale contents are replaced
+  map.closed_tour(0, tour);
+  EXPECT_TRUE(tour.ports.empty());
+  EXPECT_TRUE(tour.arrivals.empty());
   EXPECT_TRUE(map.complete());
 }
 
@@ -176,8 +184,7 @@ RefTree ref_bfs_tree(const MapGraph& map, MapGraph::MapNode start) {
   return tree;
 }
 
-std::vector<MapGraph::TourStep> ref_closed_tour(const MapGraph& map,
-                                                MapGraph::MapNode start) {
+MapGraph::Tour ref_closed_tour(const MapGraph& map, MapGraph::MapNode start) {
   const RefTree tree = ref_bfs_tree(map, start);
   std::vector<std::vector<MapGraph::MapNode>> children(map.num_nodes());
   for (MapGraph::MapNode v = 0; v < map.num_nodes(); ++v) {
@@ -190,7 +197,7 @@ std::vector<MapGraph::TourStep> ref_closed_tour(const MapGraph& map,
                 return tree.port_from_parent[a] < tree.port_from_parent[b];
               });
   }
-  std::vector<MapGraph::TourStep> steps;
+  MapGraph::Tour steps;
   struct Frame {
     MapGraph::MapNode node;
     std::size_t next_child;
@@ -201,12 +208,13 @@ std::vector<MapGraph::TourStep> ref_closed_tour(const MapGraph& map,
     if (top.next_child < children[top.node].size()) {
       const MapGraph::MapNode child = children[top.node][top.next_child];
       ++top.next_child;
-      steps.push_back(MapGraph::TourStep{tree.port_from_parent[child], child});
+      steps.ports.push_back(tree.port_from_parent[child]);
+      steps.arrivals.push_back(child);
       stack.push_back(Frame{child, 0});
     } else {
       if (top.node != start) {
-        steps.push_back(MapGraph::TourStep{tree.port_to_parent[top.node],
-                                           tree.parent[top.node]});
+        steps.ports.push_back(tree.port_to_parent[top.node]);
+        steps.arrivals.push_back(tree.parent[top.node]);
       }
       stack.pop_back();
     }
@@ -262,19 +270,19 @@ bool pick_free_port(const MapGraph& map, support::Xoshiro256& rng,
 }
 
 void expect_matches_reference(const MapGraph& map, const std::string& label) {
+  // One tour and one route buffer for every call, as the mapper reuses
+  // its own: each call must replace what the previous one left.
   const auto n = static_cast<MapGraph::MapNode>(map.num_nodes());
+  MapGraph::Tour got;
+  std::vector<sim::Port> route;
   for (MapGraph::MapNode start = 0; start < n; ++start) {
-    const auto got = map.closed_tour(start);
-    const auto want = ref_closed_tour(map, start);
-    ASSERT_EQ(got.size(), want.size()) << label << " start=" << start;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].port, want[i].port) << label << " start=" << start
-                                           << " step=" << i;
-      ASSERT_EQ(got[i].arrives_at, want[i].arrives_at)
-          << label << " start=" << start << " step=" << i;
-    }
+    map.closed_tour(start, got);
+    const MapGraph::Tour want = ref_closed_tour(map, start);
+    ASSERT_EQ(got.ports, want.ports) << label << " start=" << start;
+    ASSERT_EQ(got.arrivals, want.arrivals) << label << " start=" << start;
     for (MapGraph::MapNode to = 0; to < n; ++to) {
-      ASSERT_EQ(map.path_ports(start, to), ref_path_ports(map, start, to))
+      map.path_ports(start, to, route);
+      ASSERT_EQ(route, ref_path_ports(map, start, to))
           << label << " from=" << start << " to=" << to;
     }
   }
